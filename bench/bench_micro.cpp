@@ -38,8 +38,10 @@
 #include "drift/kswin.hpp"
 #include "explain/importance.hpp"
 #include "explain/lea.hpp"
+#include "io/serializer.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
+#include "models/lstm.hpp"
 #include "par/pool.hpp"
 #include "simd/kernels.hpp"
 #include "simd/simd.hpp"
@@ -393,6 +395,103 @@ void run_kernel_suite(bool smoke) {
         "kernel.axpy.vector",
         [&] { simd::vector::axpy(1e-9, a.data(), y_v.data(), n); }, iters, n,
         reps);
+    table.push_back(row);
+  }
+  // LSTM gate shapes: 4H = 64 weight rows of 16 (chunk = hidden = 16);
+  // every third BPTT alpha zero, as skipped rows are part of the contract.
+  const std::size_t mrows = 64, mcols = 16;
+  std::vector<double> mw(mrows * mcols), mx(mcols), alpha(mrows);
+  for (auto& v : mw) v = rng.normal();
+  for (auto& v : mx) v = rng.normal();
+  for (std::size_t r = 0; r < mrows; ++r) alpha[r] = r % 3 ? rng.normal() : 0.0;
+  const std::size_t miters = smoke ? 2000 : 20000;
+  {  // matvec: one call per gate pre-activation matrix
+    std::vector<double> out_s(mrows), out_v(mrows);
+    simd::scalar::matvec(mw.data(), mrows, mx.data(), mcols, out_s.data());
+    simd::vector::matvec(mw.data(), mrows, mx.data(), mcols, out_v.data());
+    KernelRow row{"matvec", mrows * mcols, 0.0, 0.0,
+                  bits_eq(out_s.data(), out_v.data(), mrows * sizeof(double)),
+                  fnv1a(out_v.data(), mrows * sizeof(double))};
+    row.scalar_ns_op = time_kernel_ns_op(
+        "kernel.matvec.scalar",
+        [&] {
+          simd::scalar::matvec(mw.data(), mrows, mx.data(), mcols,
+                               out_s.data());
+        },
+        miters, mrows * mcols, reps);
+    row.vector_ns_op = time_kernel_ns_op(
+        "kernel.matvec.vector",
+        [&] {
+          simd::vector::matvec(mw.data(), mrows, mx.data(), mcols,
+                               out_v.data());
+        },
+        miters, mrows * mcols, reps);
+    table.push_back(row);
+  }
+  {  // axpy_rows: BPTT's rank-1 gradient update (x shared, y rows) and
+     // its dh back-propagation (x rows, y shared), one call of each
+    const auto both = [&](decltype(&simd::scalar::axpy_rows) kernel,
+                          std::vector<double>& g, std::vector<double>& dh) {
+      kernel(alpha.data(), mrows, mx.data(), 0, g.data(), mcols, mcols);
+      kernel(alpha.data(), mrows, mw.data(), mcols, dh.data(), 0, mcols);
+    };
+    std::vector<double> g_s(mrows * mcols, 0.0), g_v = g_s;
+    std::vector<double> dh_s(mcols, 0.0), dh_v = dh_s;
+    both(simd::scalar::axpy_rows, g_s, dh_s);
+    both(simd::vector::axpy_rows, g_v, dh_v);
+    std::uint64_t fp = fnv1a(g_v.data(), g_v.size() * sizeof(double));
+    fp = fnv1a(dh_v.data(), dh_v.size() * sizeof(double), fp);
+    KernelRow row{"axpy_rows", 2 * mrows * mcols, 0.0, 0.0,
+                  bits_eq(g_s.data(), g_v.data(), g_s.size() * sizeof(double)) &&
+                      bits_eq(dh_s.data(), dh_v.data(),
+                              dh_s.size() * sizeof(double)),
+                  fp};
+    row.scalar_ns_op = time_kernel_ns_op(
+        "kernel.axpy_rows.scalar",
+        [&] { both(simd::scalar::axpy_rows, g_s, dh_s); }, miters,
+        2 * mrows * mcols, reps);
+    row.vector_ns_op = time_kernel_ns_op(
+        "kernel.axpy_rows.vector",
+        [&] { both(simd::vector::axpy_rows, g_v, dh_v); }, miters,
+        2 * mrows * mcols, reps);
+    table.push_back(row);
+  }
+  {  // lstm: a whole fit + predict through the dispatch layer, with the
+     // vector path switched off and on; the only entry that covers the
+     // LSTM's use of the kernels end to end.  37 features -> 3 timesteps,
+     // the last one zero-padded.
+    const std::size_t lrows = smoke ? 120 : 400, lcols = 37;
+    Matrix lx(lrows, lcols);
+    std::vector<double> ly(lrows);
+    for (std::size_t r = 0; r < lrows; ++r) {
+      for (std::size_t c = 0; c < lcols; ++c) lx(r, c) = rng.normal();
+      ly[r] = lx(r, 0) - 0.5 * lx(r, lcols - 1) + 0.1 * rng.normal();
+    }
+    models::LstmConfig cfg;
+    cfg.epochs = smoke ? 2 : 6;
+    std::vector<double> lpred(lrows);
+    const auto fit_predict = [&](bool vector_on) {
+      simd::set_vector_active(vector_on);
+      models::Lstm model(cfg);
+      model.fit(lx, ly);
+      model.predict_into(lx, lpred);
+      io::Serializer out;
+      model.save(out);
+      std::uint64_t h = fnv1a(lpred.data(), lrows * sizeof(double));
+      return fnv1a(out.bytes().data(), out.bytes().size(), h);
+    };
+    const bool was_active = simd::vector_active();
+    const std::uint64_t fp_s = fit_predict(false);
+    const std::uint64_t fp_v = fit_predict(true);
+    KernelRow row{"lstm", 2 * lrows, 0.0, 0.0, fp_s == fp_v, fp_v};
+    const std::size_t liters = smoke ? 1 : 3;
+    row.scalar_ns_op = time_kernel_ns_op(
+        "kernel.lstm.scalar", [&] { (void)fit_predict(false); }, liters,
+        2 * lrows, reps);
+    row.vector_ns_op = time_kernel_ns_op(
+        "kernel.lstm.vector", [&] { (void)fit_predict(true); }, liters,
+        2 * lrows, reps);
+    simd::set_vector_active(was_active);
     table.push_back(row);
   }
   {  // nrmse core: finite-masked squared-error reduction

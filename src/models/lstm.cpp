@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -16,76 +17,68 @@ namespace {
 inline double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 }  // namespace
 
-/// Per-sample forward activations retained for BPTT.
+/// Forward activations of one sample, retained for BPTT.  Every array is
+/// flat and timestep-major (element [t * H + k]; x is [t * S + s]) and is
+/// sized once per fit or per predicting thread, so no sample allocates.
 struct Lstm::Workspace {
-  // Indexed [t][...]; gate vectors are length H each.
-  std::vector<std::vector<double>> x;       // chunk inputs
-  std::vector<std::vector<double>> i, f, g, o;
-  std::vector<std::vector<double>> c, h, tanh_c;
+  std::vector<double> x;                         // T x S zero-padded chunks
+  std::vector<double> i, f, g, o, c, h, tanh_c;  // T x H
+  std::vector<double> zeros;                     // H: h and c before t = 0
+  std::vector<double> gx, gh;                    // 4H: Wx x_t and Wh h_{t-1}
+
+  void fit_to(std::size_t T, std::size_t S, std::size_t H) {
+    x.resize(T * S);
+    for (std::vector<double>* v : {&i, &f, &g, &o, &c, &h, &tanh_c})
+      v->resize(T * H);
+    zeros.resize(H);
+    gx.resize(4 * H);
+    gh.resize(4 * H);
+  }
+
+  const double* last_h(std::size_t T, std::size_t H) const {
+    return T > 0 ? &h[(T - 1) * H] : zeros.data();
+  }
 };
 
 Lstm::Lstm(LstmConfig cfg) : cfg_(cfg) {}
 
-double Lstm::forward(std::span<const double> z, Workspace* ws) const {
-  const int H = cfg_.hidden;
-  const int S = cfg_.chunk;
-  std::vector<double> h(static_cast<std::size_t>(H), 0.0);
-  std::vector<double> c(static_cast<std::size_t>(H), 0.0);
-  std::vector<double> gates(static_cast<std::size_t>(4 * H));
+double Lstm::forward(std::span<const double> z, Workspace& ws) const {
+  const std::size_t H = static_cast<std::size_t>(cfg_.hidden);
+  const std::size_t S = static_cast<std::size_t>(cfg_.chunk);
+  const std::size_t T = static_cast<std::size_t>(timesteps_);
 
-  if (ws != nullptr) {
-    const std::size_t T = static_cast<std::size_t>(timesteps_);
-    ws->x.assign(T, {});
-    ws->i.assign(T, {});
-    ws->f.assign(T, {});
-    ws->g.assign(T, {});
-    ws->o.assign(T, {});
-    ws->c.assign(T, {});
-    ws->h.assign(T, {});
-    ws->tanh_c.assign(T, {});
-  }
+  // Chunk the feature vector into timesteps, zero-padded at the tail.
+  const std::size_t nz = std::min(z.size(), T * S);
+  std::copy_n(z.begin(), nz, ws.x.begin());
+  std::fill(ws.x.begin() + static_cast<std::ptrdiff_t>(nz), ws.x.end(), 0.0);
 
-  std::vector<double> xt(static_cast<std::size_t>(S));
-  for (int t = 0; t < timesteps_; ++t) {
-    // Chunk t of the feature vector, zero-padded at the tail.
-    for (int s = 0; s < S; ++s) {
-      const std::size_t idx = static_cast<std::size_t>(t * S + s);
-      xt[static_cast<std::size_t>(s)] = idx < z.size() ? z[idx] : 0.0;
-    }
-    // Pre-activations: Wx x_t + Wh h + b, one dot kernel per weight row.
-    for (int r = 0; r < 4 * H; ++r) {
-      gates[static_cast<std::size_t>(r)] =
-          b_[static_cast<std::size_t>(r)] +
-          simd::dot(wx_.row(static_cast<std::size_t>(r)), xt) +
-          simd::dot(wh_.row(static_cast<std::size_t>(r)), h);
-    }
-    std::vector<double> gi(static_cast<std::size_t>(H)), gf(static_cast<std::size_t>(H)),
-        gg(static_cast<std::size_t>(H)), go(static_cast<std::size_t>(H)),
-        tc(static_cast<std::size_t>(H));
-    for (int k = 0; k < H; ++k) {
-      gi[static_cast<std::size_t>(k)] = sigmoid(gates[static_cast<std::size_t>(k)]);
-      gf[static_cast<std::size_t>(k)] = sigmoid(gates[static_cast<std::size_t>(H + k)]);
-      gg[static_cast<std::size_t>(k)] = std::tanh(gates[static_cast<std::size_t>(2 * H + k)]);
-      go[static_cast<std::size_t>(k)] = sigmoid(gates[static_cast<std::size_t>(3 * H + k)]);
-      c[static_cast<std::size_t>(k)] = gf[static_cast<std::size_t>(k)] * c[static_cast<std::size_t>(k)] +
-                                       gi[static_cast<std::size_t>(k)] * gg[static_cast<std::size_t>(k)];
-      tc[static_cast<std::size_t>(k)] = std::tanh(c[static_cast<std::size_t>(k)]);
-      h[static_cast<std::size_t>(k)] = go[static_cast<std::size_t>(k)] * tc[static_cast<std::size_t>(k)];
-    }
-    if (ws != nullptr) {
-      const std::size_t ti = static_cast<std::size_t>(t);
-      ws->x[ti] = xt;
-      ws->i[ti] = std::move(gi);
-      ws->f[ti] = std::move(gf);
-      ws->g[ti] = std::move(gg);
-      ws->o[ti] = std::move(go);
-      ws->c[ti] = c;
-      ws->h[ti] = h;
-      ws->tanh_c[ti] = std::move(tc);
+  for (std::size_t t = 0; t < T; ++t) {
+    const std::size_t at = t * H;
+    const double* h_prev = t > 0 ? &ws.h[at - H] : ws.zeros.data();
+    const double* c_prev = t > 0 ? &ws.c[at - H] : ws.zeros.data();
+    // Pre-activations (b + Wx x_t) + Wh h_{t-1}, one kernel call per
+    // weight matrix; row r of each product is the dot of weight row r.
+    simd::matvec(wx_.flat(), {&ws.x[t * S], S}, ws.gx);
+    simd::matvec(wh_.flat(), {h_prev, H}, ws.gh);
+    const auto pre = [&](std::size_t r) { return b_[r] + ws.gx[r] + ws.gh[r]; };
+    for (std::size_t k = 0; k < H; ++k) {
+      const double gi = sigmoid(pre(k));
+      const double gf = sigmoid(pre(H + k));
+      const double gg = std::tanh(pre(2 * H + k));
+      const double go = sigmoid(pre(3 * H + k));
+      const double c = gf * c_prev[k] + gi * gg;
+      const double tc = std::tanh(c);
+      ws.i[at + k] = gi;
+      ws.f[at + k] = gf;
+      ws.g[at + k] = gg;
+      ws.o[at + k] = go;
+      ws.c[at + k] = c;
+      ws.tanh_c[at + k] = tc;
+      ws.h[at + k] = go * tc;
     }
   }
 
-  return bo_ + simd::dot(wo_, h);
+  return bo_ + simd::dot(wo_, {ws.last_h(T, H), H});
 }
 
 void Lstm::fit(const Matrix& X, std::span<const double> y,
@@ -96,11 +89,11 @@ void Lstm::fit(const Matrix& X, std::span<const double> y,
   fits_ctr.inc();
   trained_ = false;
   if (!check_fit_args(X, y, w)) return;
-  const int H = cfg_.hidden;
-  const int S = cfg_.chunk;
+  const std::size_t H = static_cast<std::size_t>(cfg_.hidden);
+  const std::size_t S = static_cast<std::size_t>(cfg_.chunk);
   const std::size_t n = X.rows();
-  timesteps_ = static_cast<int>((X.cols() + static_cast<std::size_t>(S) - 1) /
-                                static_cast<std::size_t>(S));
+  const std::size_t T = (X.cols() + S - 1) / S;
+  timesteps_ = static_cast<int>(T);
 
   scaler_.fit(X);
   const Matrix Z = scaler_.transform(X);
@@ -114,23 +107,29 @@ void Lstm::fit(const Matrix& X, std::span<const double> y,
   Rng rng(cfg_.seed);
   const double xs = 1.0 / std::sqrt(static_cast<double>(S));
   const double hs = 1.0 / std::sqrt(static_cast<double>(H));
-  wx_ = Matrix(static_cast<std::size_t>(4 * H), static_cast<std::size_t>(S));
-  wh_ = Matrix(static_cast<std::size_t>(4 * H), static_cast<std::size_t>(H));
+  wx_ = Matrix(4 * H, S);
+  wh_ = Matrix(4 * H, H);
   for (double& v : wx_.flat()) v = rng.normal(0.0, xs);
   for (double& v : wh_.flat()) v = rng.normal(0.0, hs);
-  b_.assign(static_cast<std::size_t>(4 * H), 0.0);
-  for (int k = 0; k < H; ++k) b_[static_cast<std::size_t>(H + k)] = 1.0;  // forget-gate bias
-  wo_.assign(static_cast<std::size_t>(H), 0.0);
+  b_.assign(4 * H, 0.0);
+  for (std::size_t k = 0; k < H; ++k) b_[H + k] = 1.0;  // forget-gate bias
+  wo_.assign(H, 0.0);
   for (double& v : wo_) v = rng.normal(0.0, hs);
   bo_ = 0.0;
 
   // --- Adam state ---------------------------------------------------------
+  // grad, m and v2 share one layout: [wx | wh | b | wo | bo].
   const std::size_t n_wx = wx_.flat().size();
   const std::size_t n_wh = wh_.flat().size();
   const std::size_t n_b = b_.size();
   const std::size_t n_wo = wo_.size();
   const std::size_t n_params = n_wx + n_wh + n_b + n_wo + 1;
   std::vector<double> m(n_params, 0.0), v2(n_params, 0.0), grad(n_params, 0.0);
+  double* g_wx = grad.data();
+  double* g_wh = g_wx + n_wx;
+  double* g_b = g_wh + n_wh;
+  double* g_wo = g_b + n_b;
+  double* g_bo = g_wo + n_wo;
   constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
   std::int64_t step = 0;
 
@@ -138,9 +137,11 @@ void Lstm::fit(const Matrix& X, std::span<const double> y,
   std::iota(order.begin(), order.end(), std::size_t{0});
 
   Workspace ws;
-  std::vector<double> dh(static_cast<std::size_t>(H));
-  std::vector<double> dc(static_cast<std::size_t>(H));
-  std::vector<double> dz(static_cast<std::size_t>(4 * H));
+  ws.fit_to(T, S, H);
+  std::vector<double> dh(H);
+  std::vector<double> dc(H);
+  std::vector<double> dz(4 * H);
+  const std::span<const double> wh = std::as_const(wh_).flat();
 
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     rng.shuffle(order);
@@ -158,69 +159,53 @@ void Lstm::fit(const Matrix& X, std::span<const double> y,
         if (wi <= 0.0) continue;
         batch_w += wi;
 
-        const double pred = forward(Z.row(r), &ws);
+        const double pred = forward(Z.row(r), ws);
         const double err = pred - yz[r];
         epoch_loss += wi * err * err;
         epoch_weight += wi;
 
         // Output layer gradients.
         const double dy = 2.0 * wi * err;
-        double* g_wx = grad.data();
-        double* g_wh = g_wx + n_wx;
-        double* g_b = g_wh + n_wh;
-        double* g_wo = g_b + n_b;
-        double* g_bo = g_wo + n_wo;
-        const auto& hT = ws.h[static_cast<std::size_t>(timesteps_ - 1)];
-        for (int k = 0; k < H; ++k) {
-          g_wo[k] += dy * hT[static_cast<std::size_t>(k)];
-          dh[static_cast<std::size_t>(k)] = dy * wo_[static_cast<std::size_t>(k)];
+        const double* hT = ws.last_h(T, H);
+        for (std::size_t k = 0; k < H; ++k) {
+          g_wo[k] += dy * hT[k];
+          dh[k] = dy * wo_[k];
         }
         *g_bo += dy;
         std::fill(dc.begin(), dc.end(), 0.0);
 
         // BPTT.
-        for (int t = timesteps_ - 1; t >= 0; --t) {
-          const std::size_t ti = static_cast<std::size_t>(t);
-          const auto& gi = ws.i[ti];
-          const auto& gf = ws.f[ti];
-          const auto& gg = ws.g[ti];
-          const auto& go = ws.o[ti];
-          const auto& tc = ws.tanh_c[ti];
-          for (int k = 0; k < H; ++k) {
-            const std::size_t ki = static_cast<std::size_t>(k);
-            const double dct =
-                dc[ki] + dh[ki] * go[ki] * (1.0 - tc[ki] * tc[ki]);
-            const double c_prev =
-                t > 0 ? ws.c[ti - 1][ki] : 0.0;
-            const double d_i = dct * gg[ki];
+        for (std::size_t t = T; t-- > 0;) {
+          const std::size_t at = t * H;
+          const double* gi = &ws.i[at];
+          const double* gf = &ws.f[at];
+          const double* gg = &ws.g[at];
+          const double* go = &ws.o[at];
+          const double* tc = &ws.tanh_c[at];
+          for (std::size_t k = 0; k < H; ++k) {
+            const double dct = dc[k] + dh[k] * go[k] * (1.0 - tc[k] * tc[k]);
+            const double c_prev = t > 0 ? ws.c[at - H + k] : 0.0;
+            const double d_i = dct * gg[k];
             const double d_f = dct * c_prev;
-            const double d_g = dct * gi[ki];
-            const double d_o = dh[ki] * tc[ki];
-            dz[ki] = d_i * gi[ki] * (1.0 - gi[ki]);
-            dz[static_cast<std::size_t>(H) + ki] = d_f * gf[ki] * (1.0 - gf[ki]);
-            dz[static_cast<std::size_t>(2 * H) + ki] = d_g * (1.0 - gg[ki] * gg[ki]);
-            dz[static_cast<std::size_t>(3 * H) + ki] = d_o * go[ki] * (1.0 - go[ki]);
-            dc[ki] = dct * gf[ki];
+            const double d_g = dct * gi[k];
+            const double d_o = dh[k] * tc[k];
+            dz[k] = d_i * gi[k] * (1.0 - gi[k]);
+            dz[H + k] = d_f * gf[k] * (1.0 - gf[k]);
+            dz[2 * H + k] = d_g * (1.0 - gg[k] * gg[k]);
+            dz[3 * H + k] = d_o * go[k] * (1.0 - go[k]);
+            dc[k] = dct * gf[k];
           }
-          // Accumulate parameter gradients and propagate dh.
-          const auto& xt = ws.x[ti];
-          const auto* h_prev = t > 0 ? &ws.h[ti - 1] : nullptr;
+          // Parameter gradients: rank-1 updates dz x_t^T and dz h_{t-1}^T
+          // (h_{-1} = 0 contributes nothing); zero dz rows are skipped.
+          simd::axpy_rows(dz, {&ws.x[t * S], S}, 0, {g_wx, n_wx}, S, S);
+          for (std::size_t rr = 0; rr < 4 * H; ++rr) {
+            if (dz[rr] != 0.0) g_b[rr] += dz[rr];
+          }
+          if (t == 0) continue;
+          simd::axpy_rows(dz, {&ws.h[at - H], H}, 0, {g_wh, n_wh}, H, H);
+          // dh for step t-1: the dz-weighted sum of the rows of Wh.
           std::fill(dh.begin(), dh.end(), 0.0);
-          for (int rr = 0; rr < 4 * H; ++rr) {
-            const std::size_t ri = static_cast<std::size_t>(rr);
-            const double dzr = dz[ri];
-            if (dzr == 0.0) continue;
-            simd::axpy(dzr, xt,
-                       {g_wx + ri * static_cast<std::size_t>(S),
-                        static_cast<std::size_t>(S)});
-            if (h_prev != nullptr) {
-              simd::axpy(dzr, *h_prev,
-                         {g_wh + ri * static_cast<std::size_t>(H),
-                          static_cast<std::size_t>(H)});
-            }
-            simd::axpy(dzr, wh_.row(ri), dh);
-            g_b[ri] += dzr;
-          }
+          simd::axpy_rows(dz, wh, H, dh, 0, H);
         }
       }
 
@@ -232,28 +217,27 @@ void Lstm::fit(const Matrix& X, std::span<const double> y,
       const double clip_scale =
           norm > cfg_.grad_clip ? cfg_.grad_clip / norm : 1.0;
 
-      // Adam.
+      // Adam, one pass per parameter segment in grad's layout order.
       ++step;
       const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(step));
       const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(step));
-      auto param_at = [&](std::size_t i) -> double* {
-        if (i < n_wx) return &wx_.flat()[i];
-        i -= n_wx;
-        if (i < n_wh) return &wh_.flat()[i];
-        i -= n_wh;
-        if (i < n_b) return &b_[i];
-        i -= n_b;
-        if (i < n_wo) return &wo_[i];
-        return &bo_;
+      std::size_t i = 0;
+      const auto adam = [&](std::span<double> params) {
+        for (double& p : params) {
+          const double g = grad[i] * clip_scale;
+          m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * g;
+          v2[i] = kBeta2 * v2[i] + (1.0 - kBeta2) * g * g;
+          const double mhat = m[i] / bc1;
+          const double vhat = v2[i] / bc2;
+          p -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + kEps);
+          ++i;
+        }
       };
-      for (std::size_t i = 0; i < n_params; ++i) {
-        const double g = grad[i] * clip_scale;
-        m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * g;
-        v2[i] = kBeta2 * v2[i] + (1.0 - kBeta2) * g * g;
-        const double mhat = m[i] / bc1;
-        const double vhat = v2[i] / bc2;
-        *param_at(i) -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + kEps);
-      }
+      adam(wx_.flat());
+      adam(wh_.flat());
+      adam(b_);
+      adam(wo_);
+      adam({&bo_, 1});
     }
     final_mse_ = epoch_weight > 0.0 ? epoch_loss / epoch_weight : 0.0;
   }
@@ -262,9 +246,16 @@ void Lstm::fit(const Matrix& X, std::span<const double> y,
 
 double Lstm::predict_one(std::span<const double> x) const {
   assert(trained_);
-  std::vector<double> z(x.size());
+  // Per-query scratch is thread_local: predict_one runs on the leaf::par
+  // pool (one query per row).
+  thread_local std::vector<double> z;
+  thread_local Workspace ws;
+  z.resize(x.size());
   scaler_.transform_row(x, z);
-  return forward(z, nullptr) * y_std_ + y_mean_;
+  ws.fit_to(static_cast<std::size_t>(timesteps_),
+            static_cast<std::size_t>(cfg_.chunk),
+            static_cast<std::size_t>(cfg_.hidden));
+  return forward(z, ws) * y_std_ + y_mean_;
 }
 
 std::unique_ptr<Regressor> Lstm::clone_untrained() const {
@@ -313,12 +304,23 @@ std::unique_ptr<Lstm> Lstm::load(io::Deserializer& in) {
   model->b_ = in.get_doubles();
   model->wo_ = in.get_doubles();
   model->bo_ = in.get_f64();
+  // Shapes are checked before any kernel can index with them: the gate
+  // matvecs read chunk-wide rows of wx and hidden-wide rows of wh, and
+  // the forward pass lays the scaled row out over timesteps * chunk.
+  if (cfg.hidden <= 0 || cfg.chunk <= 0 || cfg.batch <= 0)
+    throw io::SnapshotError("lstm config needs positive hidden, chunk and batch");
+  if (!model->trained_) return model;
   const auto h = static_cast<std::size_t>(cfg.hidden);
-  if (model->trained_ &&
-      (model->wx_.rows() != 4 * h || model->wh_.rows() != 4 * h ||
-       model->wh_.cols() != h || model->b_.size() != 4 * h ||
-       model->wo_.size() != h))
+  const auto s = static_cast<std::size_t>(cfg.chunk);
+  if (model->wx_.rows() != 4 * h || model->wx_.cols() != s ||
+      model->wh_.rows() != 4 * h || model->wh_.cols() != h ||
+      model->b_.size() != 4 * h || model->wo_.size() != h)
     throw io::SnapshotError("lstm parameter shapes inconsistent with config");
+  const std::size_t width = model->scaler_.mean().size();
+  if (model->timesteps_ < 1 ||
+      static_cast<std::size_t>(model->timesteps_) != (width + s - 1) / s)
+    throw io::SnapshotError(
+        "lstm timestep count inconsistent with feature width");
   return model;
 }
 

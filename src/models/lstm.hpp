@@ -52,9 +52,10 @@ class Lstm final : public Regressor {
 
  private:
   struct Workspace;
-  /// Forward pass; fills the workspace when provided (training) and
-  /// returns the standardized prediction.
-  double forward(std::span<const double> z, Workspace* ws) const;
+  /// Forward pass over the standardized row z; leaves every timestep's
+  /// activations in ws (BPTT reads them) and returns the standardized
+  /// prediction.  ws must be sized for this model (Workspace::fit_to).
+  double forward(std::span<const double> z, Workspace& ws) const;
 
   LstmConfig cfg_;
   bool trained_ = false;

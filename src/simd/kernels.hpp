@@ -74,6 +74,22 @@ double sum(const double* a, std::size_t n);
 double dot(const double* a, const double* b, std::size_t n);
 /// y[i] += alpha * x[i] (elementwise; bit-identical to the classic loop).
 void axpy(double alpha, const double* x, double* y, std::size_t n);
+/// Row-major matrix-vector product: out[r] = dot(w + r * n, x, n) for
+/// r < rows.  Each out[r] is bit-identical to the dot kernel (the same
+/// 8-lane DAG), so one call replaces `rows` dispatched dot calls.
+void matvec(const double* w, std::size_t rows, const double* x, std::size_t n,
+            double* out);
+/// Row-strided axpy: for r < rows, in ascending r, when alpha[r] != 0:
+/// y_r[i] += alpha[r] * x_r[i] for i < n, where x_r = x + r * x_stride
+/// and y_r = y + r * y_stride.  A stride of 0 reuses one vector (x: a
+/// rank-1 update of the rows of y; y: a sum of scaled rows of x).  Each
+/// y element sees exactly the additions of the equivalent axpy loop, in
+/// the same order.  Rows whose alpha is zero (+0.0 or -0.0) are skipped,
+/// not multiplied: their y stays bit-for-bit untouched even when it holds
+/// -0.0 or the matching x row holds Inf/NaN.  x and y must not overlap.
+void axpy_rows(const double* alpha, std::size_t rows, const double* x,
+               std::size_t x_stride, double* y, std::size_t y_stride,
+               std::size_t n);
 double l2_distance2(const double* a, const double* b, std::size_t n);
 ErrorAcc squared_error(const double* pred, const double* truth,
                        std::size_t n);
@@ -106,6 +122,11 @@ const char* isa();
 double sum(const double* a, std::size_t n);
 double dot(const double* a, const double* b, std::size_t n);
 void axpy(double alpha, const double* x, double* y, std::size_t n);
+void matvec(const double* w, std::size_t rows, const double* x, std::size_t n,
+            double* out);
+void axpy_rows(const double* alpha, std::size_t rows, const double* x,
+               std::size_t x_stride, double* y, std::size_t y_stride,
+               std::size_t n);
 double l2_distance2(const double* a, const double* b, std::size_t n);
 ErrorAcc squared_error(const double* pred, const double* truth,
                        std::size_t n);

@@ -45,6 +45,20 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+void matvec(const double* w, std::size_t rows, const double* x, std::size_t n,
+            double* out) {
+  for (std::size_t r = 0; r < rows; ++r) out[r] = dot(w + r * n, x, n);
+}
+
+void axpy_rows(const double* alpha, std::size_t rows, const double* x,
+               std::size_t x_stride, double* y, std::size_t y_stride,
+               std::size_t n) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (alpha[r] == 0.0) continue;
+    axpy(alpha[r], x + r * x_stride, y + r * y_stride, n);
+  }
+}
+
 double l2_distance2(const double* a, const double* b, std::size_t n) {
   Lanes acc;
   const std::size_t nb = n & ~(kLanes - 1);

@@ -52,6 +52,27 @@ struct Ops {
   static V abs(V v) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v); }
   static V cmplt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
   static V and_(V a, V b) { return _mm256_and_pd(a, b); }
+  // reduce8 in registers, same tree and operand order: the unpacks pair
+  // {L0,L4,L2,L6} with {L1,L5,L3,L7}, the 128-bit halves add the pairs.
+  static double reduce(const V* acc) {
+    const V pairs = _mm256_add_pd(_mm256_unpacklo_pd(acc[0], acc[1]),
+                                  _mm256_unpackhi_pd(acc[0], acc[1]));
+    const __m128d quads = _mm_add_pd(_mm256_castpd256_pd128(pairs),
+                                     _mm256_extractf128_pd(pairs, 1));
+    return _mm_cvtsd_f64(quads) + _mm_cvtsd_f64(_mm_unpackhi_pd(quads, quads));
+  }
+  // reduce of two rows' lanes at once: out[0] = reduce(a), out[1] = reduce(b).
+  static void reduce2(const V* a, const V* b, double* out) {
+    const V lo = _mm256_add_pd(_mm256_unpacklo_pd(a[0], b[0]),
+                               _mm256_unpackhi_pd(a[0], b[0]));
+    const V hi = _mm256_add_pd(_mm256_unpacklo_pd(a[1], b[1]),
+                               _mm256_unpackhi_pd(a[1], b[1]));
+    const __m128d q = _mm_add_pd(_mm256_castpd256_pd128(lo),
+                                 _mm256_extractf128_pd(lo, 1));
+    const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(hi),
+                                 _mm256_extractf128_pd(hi, 1));
+    _mm_storeu_pd(out, _mm_add_pd(q, s));
+  }
 };
 
 #elif defined(LEAF_SIMD_X86)
@@ -72,6 +93,24 @@ struct Ops {
   static V abs(V v) { return _mm_andnot_pd(_mm_set1_pd(-0.0), v); }
   static V cmplt(V a, V b) { return _mm_cmplt_pd(a, b); }
   static V and_(V a, V b) { return _mm_and_pd(a, b); }
+  // reduce8 in registers, same tree and operand order.
+  static double reduce(const V* acc) {
+    const V p = _mm_add_pd(_mm_unpacklo_pd(acc[0], acc[2]),
+                           _mm_unpackhi_pd(acc[0], acc[2]));  // L0+L1, L4+L5
+    const V q = _mm_add_pd(_mm_unpacklo_pd(acc[1], acc[3]),
+                           _mm_unpackhi_pd(acc[1], acc[3]));  // L2+L3, L6+L7
+    const V quads = _mm_add_pd(p, q);
+    return _mm_cvtsd_f64(quads) + _mm_cvtsd_f64(_mm_unpackhi_pd(quads, quads));
+  }
+  // reduce of two rows' lanes at once: out[0] = reduce(a), out[1] = reduce(b).
+  static void reduce2(const V* a, const V* b, double* out) {
+    const auto pair = [](V x, V y) {  // {x0 + x1, y0 + y1}
+      return _mm_add_pd(_mm_unpacklo_pd(x, y), _mm_unpackhi_pd(x, y));
+    };
+    const V q = _mm_add_pd(pair(a[0], b[0]), pair(a[1], b[1]));
+    const V s = _mm_add_pd(pair(a[2], b[2]), pair(a[3], b[3]));
+    _mm_storeu_pd(out, _mm_add_pd(q, s));
+  }
 };
 
 #else  // LEAF_SIMD_NEON
@@ -95,6 +134,15 @@ struct Ops {
   static V and_(V a, V b) {
     return vreinterpretq_f64_u64(
         vandq_u64(vreinterpretq_u64_f64(a), vreinterpretq_u64_f64(b)));
+  }
+  static double reduce(const V* acc) {
+    double lanes[kLanes];
+    for (std::size_t r = 0; r < kLanes / width; ++r) store(lanes + r * width, acc[r]);
+    return reduce8(lanes);
+  }
+  static void reduce2(const V* a, const V* b, double* out) {
+    out[0] = reduce(a);
+    out[1] = reduce(b);
   }
 };
 
@@ -125,7 +173,9 @@ double sum(const double* a, std::size_t n) {
   return reduce8(lanes);
 }
 
-double dot(const double* a, const double* b, std::size_t n) {
+namespace {
+
+inline double dot_impl(const double* a, const double* b, std::size_t n) {
   V acc[kRegs];
   for (std::size_t r = 0; r < kRegs; ++r) acc[r] = Ops::zero();
   const std::size_t nb = n & ~(kLanes - 1);
@@ -135,13 +185,14 @@ double dot(const double* a, const double* b, std::size_t n) {
           acc[r], Ops::mul(Ops::load(a + i + r * kW), Ops::load(b + i + r * kW)));
     }
   }
+  if (nb == n) return Ops::reduce(acc);
   alignas(64) double lanes[kLanes];
   for (std::size_t r = 0; r < kRegs; ++r) Ops::store(lanes + r * kW, acc[r]);
   for (std::size_t i = nb; i < n; ++i) lanes[i - nb] += a[i] * b[i];
   return reduce8(lanes);
 }
 
-void axpy(double alpha, const double* x, double* y, std::size_t n) {
+inline void axpy_impl(double alpha, const double* x, double* y, std::size_t n) {
   // Elementwise: each y[i] sees exactly y[i] + alpha * x[i], so any
   // register width preserves bit-identity with the scalar loop.
   const V va = Ops::set1(alpha);
@@ -150,6 +201,76 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) {
     Ops::store(y + i, Ops::add(Ops::load(y + i), Ops::mul(va, Ops::load(x + i))));
   }
   for (std::size_t i = nw; i < n; ++i) y[i] += alpha * x[i];
+}
+
+}  // namespace
+
+double dot(const double* a, const double* b, std::size_t n) {
+  return dot_impl(a, b, n);
+}
+
+void axpy(double alpha, const double* x, double* y, std::size_t n) {
+  axpy_impl(alpha, x, y, n);
+}
+
+void matvec(const double* w, std::size_t rows, const double* x, std::size_t n,
+            double* out) {
+  std::size_t r = 0;
+  if (n % kLanes == 0) {
+    // Two rows in flight, sharing each x load and one reduction shuffle.
+    for (; r + 2 <= rows; r += 2) {
+      const double* wa = w + r * n;
+      const double* wb = wa + n;
+      V a[kRegs], b[kRegs];
+      for (std::size_t k = 0; k < kRegs; ++k) a[k] = b[k] = Ops::zero();
+      for (std::size_t i = 0; i < n; i += kLanes) {
+        for (std::size_t k = 0; k < kRegs; ++k) {
+          const V xv = Ops::load(x + i + k * kW);
+          a[k] = Ops::add(a[k], Ops::mul(Ops::load(wa + i + k * kW), xv));
+          b[k] = Ops::add(b[k], Ops::mul(Ops::load(wb + i + k * kW), xv));
+        }
+      }
+      Ops::reduce2(a, b, out + r);
+    }
+  }
+  for (; r < rows; ++r) out[r] = dot_impl(w + r * n, x, n);
+}
+
+void axpy_rows(const double* alpha, std::size_t rows, const double* x,
+               std::size_t x_stride, double* y, std::size_t y_stride,
+               std::size_t n) {
+  if (y_stride != 0) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (alpha[r] == 0.0) continue;
+      axpy_impl(alpha[r], x + r * x_stride, y + r * y_stride, n);
+    }
+    return;
+  }
+  // One shared y: hold 8 of its elements in registers across all rows
+  // instead of storing and reloading them per row.  Each element still
+  // adds alpha[r] * x_r[i] for the nonzero rows in ascending r.
+  const std::size_t nb = n & ~(kLanes - 1);
+  for (std::size_t i = 0; i < nb; i += kLanes) {
+    V acc[kRegs];
+    for (std::size_t k = 0; k < kRegs; ++k) acc[k] = Ops::load(y + i + k * kW);
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (alpha[r] == 0.0) continue;
+      const V va = Ops::set1(alpha[r]);
+      const double* xr = x + r * x_stride + i;
+      for (std::size_t k = 0; k < kRegs; ++k) {
+        acc[k] = Ops::add(acc[k], Ops::mul(va, Ops::load(xr + k * kW)));
+      }
+    }
+    for (std::size_t k = 0; k < kRegs; ++k) Ops::store(y + i + k * kW, acc[k]);
+  }
+  for (std::size_t i = nb; i < n; ++i) {
+    double acc = y[i];
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (alpha[r] == 0.0) continue;
+      acc += alpha[r] * x[r * x_stride + i];
+    }
+    y[i] = acc;
+  }
 }
 
 double l2_distance2(const double* a, const double* b, std::size_t n) {
@@ -264,6 +385,15 @@ double dot(const double* a, const double* b, std::size_t n) {
 }
 void axpy(double alpha, const double* x, double* y, std::size_t n) {
   scalar::axpy(alpha, x, y, n);
+}
+void matvec(const double* w, std::size_t rows, const double* x, std::size_t n,
+            double* out) {
+  scalar::matvec(w, rows, x, n, out);
+}
+void axpy_rows(const double* alpha, std::size_t rows, const double* x,
+               std::size_t x_stride, double* y, std::size_t y_stride,
+               std::size_t n) {
+  scalar::axpy_rows(alpha, rows, x, x_stride, y, y_stride, n);
 }
 double l2_distance2(const double* a, const double* b, std::size_t n) {
   return scalar::l2_distance2(a, b, n);

@@ -1,6 +1,7 @@
 #include "simd/simd.hpp"
 
 #include <atomic>
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 
@@ -65,6 +66,35 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
     vector::axpy(alpha, x.data(), y.data(), x.size());
   } else {
     scalar::axpy(alpha, x.data(), y.data(), x.size());
+  }
+}
+
+void matvec(std::span<const double> w, std::span<const double> x,
+            std::span<double> out) {
+  static obs::Counter& calls = kernel_counter("matvec");
+  calls.inc();
+  assert(w.size() >= out.size() * x.size());
+  if (vector_active()) {
+    vector::matvec(w.data(), out.size(), x.data(), x.size(), out.data());
+  } else {
+    scalar::matvec(w.data(), out.size(), x.data(), x.size(), out.data());
+  }
+}
+
+void axpy_rows(std::span<const double> alpha, std::span<const double> x,
+               std::size_t x_stride, std::span<double> y, std::size_t y_stride,
+               std::size_t n) {
+  static obs::Counter& calls = kernel_counter("axpy_rows");
+  calls.inc();
+  const std::size_t rows = alpha.size();
+  assert(rows == 0 || x.size() >= (rows - 1) * x_stride + n);
+  assert(rows == 0 || y.size() >= (rows - 1) * y_stride + n);
+  if (vector_active()) {
+    vector::axpy_rows(alpha.data(), rows, x.data(), x_stride, y.data(),
+                      y_stride, n);
+  } else {
+    scalar::axpy_rows(alpha.data(), rows, x.data(), x_stride, y.data(),
+                      y_stride, n);
   }
 }
 

@@ -43,6 +43,17 @@ const char* active_isa();
 double sum(std::span<const double> a);
 double dot(std::span<const double> a, std::span<const double> b);
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
+/// out[r] = dot(row r of w, x) for r < out.size(), where w is row-major
+/// with x.size() columns; bit-identical to out.size() dot calls.
+void matvec(std::span<const double> w, std::span<const double> x,
+            std::span<double> out);
+/// For r < alpha.size() with alpha[r] != 0, in ascending r:
+/// y[r * y_stride + i] += alpha[r] * x[r * x_stride + i] for i < n
+/// (stride 0 reuses one vector).  Zero-alpha rows are skipped, leaving y
+/// bit-for-bit untouched; see scalar::axpy_rows for the full contract.
+void axpy_rows(std::span<const double> alpha, std::span<const double> x,
+               std::size_t x_stride, std::span<double> y, std::size_t y_stride,
+               std::size_t n);
 double l2_distance2(std::span<const double> a, std::span<const double> b);
 ErrorAcc squared_error(std::span<const double> pred,
                        std::span<const double> truth);

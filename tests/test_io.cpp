@@ -19,6 +19,7 @@
 #include "io/snapshot.hpp"
 #include "models/ensemble.hpp"
 #include "models/factory.hpp"
+#include "models/lstm.hpp"
 #include "models/persistence.hpp"
 #include "snapshot_fault_helpers.hpp"
 
@@ -354,6 +355,85 @@ TEST(ModelIo, CorruptTreePayloadThrowsNoUb) {
        keep += std::max<std::size_t>(1, bytes.size() / 97)) {
     Deserializer in(bytes.subspan(0, keep));
     EXPECT_THROW(models::load_regressor(in), SnapshotError) << "keep=" << keep;
+  }
+}
+
+/// An LSTM snapshot with one little-endian i32 field overwritten.  Byte
+/// offsets follow the save() layout: the "lstm" key (u64 length + 4
+/// bytes), then hidden, chunk, epochs, batch (i32 each), learning rate,
+/// clip (f64), seed (u64), trained (u8) and timesteps (i32).
+struct LstmSnapshot {
+  static constexpr std::size_t kHidden = 12, kChunk = 16, kBatch = 24,
+                               kTimesteps = 53;
+  std::vector<std::uint8_t> bytes;
+
+  LstmSnapshot() {
+    const Problem p;  // 6 features: chunk 4 -> 2 timesteps
+    models::LstmConfig cfg;
+    cfg.hidden = 4;
+    cfg.chunk = 4;
+    cfg.epochs = 2;
+    models::Lstm model(cfg);
+    model.fit(p.X, p.y);
+    Serializer out;
+    models::save_regressor(out, model);
+    bytes.assign(out.bytes().begin(), out.bytes().end());
+  }
+
+  std::vector<std::uint8_t> patched(std::size_t offset, std::int32_t v) const {
+    std::vector<std::uint8_t> b = bytes;
+    for (std::size_t i = 0; i < 4; ++i)
+      b.at(offset + i) =
+          static_cast<std::uint8_t>(static_cast<std::uint32_t>(v) >> (8 * i));
+    return b;
+  }
+
+  std::int32_t field(std::size_t offset) const {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      v |= static_cast<std::uint32_t>(bytes.at(offset + i)) << (8 * i);
+    return static_cast<std::int32_t>(v);
+  }
+};
+
+TEST(ModelIo, LstmSnapshotOffsetsMatchLayout) {
+  // Pins the offsets the patch cases rely on.
+  const LstmSnapshot snap;
+  EXPECT_EQ(snap.field(LstmSnapshot::kHidden), 4);
+  EXPECT_EQ(snap.field(LstmSnapshot::kChunk), 4);
+  EXPECT_EQ(snap.field(LstmSnapshot::kBatch), models::LstmConfig{}.batch);
+  EXPECT_EQ(snap.field(LstmSnapshot::kTimesteps), 2);
+  Deserializer in(snap.bytes);
+  EXPECT_TRUE(models::load_regressor(in)->trained());
+}
+
+TEST(ModelIo, LstmInconsistentShapesThrow) {
+  // Each patch leaves a snapshot the kernels would index out of bounds
+  // (or a refit would never finish); every one must fail typed, at load.
+  const LstmSnapshot snap;
+  const struct {
+    std::size_t offset;
+    std::int32_t value;
+    const char* needle;
+  } cases[] = {
+      {LstmSnapshot::kHidden, 0, "positive hidden"},
+      {LstmSnapshot::kHidden, -4, "positive hidden"},
+      {LstmSnapshot::kChunk, 0, "positive hidden, chunk"},
+      {LstmSnapshot::kBatch, 0, "and batch"},
+      // chunk 3 still gives ceil(6 / 3) = 2 timesteps: only the wx width
+      // check catches the 4-wide rows.
+      {LstmSnapshot::kChunk, 3, "parameter shapes"},
+      {LstmSnapshot::kTimesteps, 3, "timestep count"},
+      {LstmSnapshot::kTimesteps, 0, "timestep count"},
+      {LstmSnapshot::kTimesteps, -1, "timestep count"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "offset=" << c.offset
+                                      << " value=" << c.value);
+    const auto bytes = snap.patched(c.offset, c.value);
+    Deserializer in(bytes);
+    leaf::testing::expect_snapshot_error([&] { models::load_regressor(in); },
+                                         c.needle);
   }
 }
 

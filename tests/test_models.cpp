@@ -2,15 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "io/serializer.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
 #include "models/gbdt.hpp"
 #include "models/knn.hpp"
 #include "models/lstm.hpp"
 #include "models/ridge.hpp"
+#include "simd/simd.hpp"
 
 namespace leaf::models {
 namespace {
@@ -280,6 +284,101 @@ TEST(Lstm, MoreEpochsLowerTrainingLoss) {
   a.fit(p.X, p.y);
   b.fit(p.X, p.y);
   EXPECT_LT(b.final_train_mse(), a.final_train_mse());
+}
+
+// ---- LSTM bit-identity golden ---------------------------------------------
+
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct LstmFingerprint {
+  std::uint64_t predict = 0;
+  std::uint64_t mse = 0;
+  std::uint64_t snapshot = 0;
+};
+
+/// Fits an LSTM whose feature count is not a multiple of `chunk` (the last
+/// pseudo-timestep is zero-padded) and hashes everything it produces.
+LstmFingerprint lstm_fingerprint(const LstmConfig& cfg, std::size_t cols,
+                                 bool weighted) {
+  Rng rng(4242);
+  const std::size_t n = 90;
+  Matrix X(n, cols);
+  std::vector<double> y(n), w(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < cols; ++c) X(i, c) = rng.normal() * (1.0 + c);
+    y[i] = 2.0 * X(i, 0) - X(i, cols - 1) + 0.3 * rng.normal();
+    // Every fifth row weightless: exercises the skipped-sample path.
+    w[i] = i % 5 == 0 ? 0.0 : 0.25 + rng.uniform();
+  }
+  Lstm model(cfg);
+  model.fit(X, y, weighted ? std::span<const double>(w)
+                           : std::span<const double>());
+  LstmFingerprint fp;
+  std::uint64_t h = fnv1a(nullptr, 0);
+  for (std::size_t i = 0; i < 25; ++i) {
+    std::vector<double> probe(cols);
+    for (auto& v : probe) v = rng.normal() * 2.0;
+    const double p = model.predict_one(probe);
+    h = fnv1a(&p, sizeof p, h);
+  }
+  fp.predict = h;
+  const double mse = model.final_train_mse();
+  fp.mse = fnv1a(&mse, sizeof mse);
+  io::Serializer out;
+  model.save(out);
+  fp.snapshot = fnv1a(out.bytes().data(), out.bytes().size());
+  return fp;
+}
+
+TEST(Lstm, GoldenFingerprintsAreBitIdentical) {
+  // Pinned on the sample-at-a-time implementation (one dot per gate row,
+  // one axpy per BPTT row); any change to a value's operation DAG breaks
+  // them.  Two shapes: odd widths everywhere (hidden 6, chunk 5, 13
+  // columns -> 3 timesteps), and the default widths with 37 columns.
+  struct Case {
+    int hidden, chunk;
+    std::size_t cols;
+    bool weighted;
+    LstmFingerprint expect;
+  };
+  const Case cases[] = {
+      {6, 5, 13, false,
+       {0x789acbb32b53674aULL, 0x2c7eaa29bb8fa363ULL, 0xf37556df56cd7220ULL}},
+      {6, 5, 13, true,
+       {0x871fc7233d05c58eULL, 0x859e177f2275354dULL, 0x85f550bd7894676eULL}},
+      {16, 16, 37, false,
+       {0xdb94db1e98ee208eULL, 0x340642f6351209f2ULL, 0xbf7b2362a3032a03ULL}},
+      {16, 16, 37, true,
+       {0xe05fbb326733d611ULL, 0x9cf80642c4a6b9b6ULL, 0x7b4e2f6747dc7cf3ULL}},
+  };
+  const bool was_active = simd::vector_active();
+  for (const Case& c : cases) {
+    LstmConfig cfg;
+    cfg.hidden = c.hidden;
+    cfg.chunk = c.chunk;
+    cfg.epochs = 4;
+    cfg.batch = 16;
+    cfg.seed = 9;
+    for (const bool vector_on : {true, false}) {
+      simd::set_vector_active(vector_on);
+      const LstmFingerprint fp = lstm_fingerprint(cfg, c.cols, c.weighted);
+      const std::string what = "hidden=" + std::to_string(c.hidden) +
+                               " weighted=" + std::to_string(c.weighted) +
+                               " vector=" + std::to_string(vector_on);
+      EXPECT_EQ(fp.predict, c.expect.predict) << what;
+      EXPECT_EQ(fp.mse, c.expect.mse) << what;
+      EXPECT_EQ(fp.snapshot, c.expect.snapshot) << what;
+    }
+  }
+  simd::set_vector_active(was_active);
 }
 
 TEST(Factory, NamesRoundTrip) {

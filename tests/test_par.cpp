@@ -17,6 +17,7 @@
 #include "explain/importance.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
+#include "models/lstm.hpp"
 #include "par/parallel.hpp"
 
 namespace leaf {
@@ -196,6 +197,28 @@ TEST(Determinism, PredictIntoMatchesPredict) {
   std::vector<double> b(p.X_test.rows());
   f.predict_into(p.X_test, b);
   EXPECT_EQ(a, b);
+}
+
+TEST(Determinism, LstmPredictIntoMatchesPredictOne) {
+  // The LSTM's forward-pass workspace is thread_local: parallel rows on
+  // the pool must neither share nor corrupt one another's activations.
+  ThreadGuard guard;
+  const SynthProblem p;
+  models::LstmConfig cfg;
+  cfg.hidden = 8;
+  cfg.chunk = 4;  // 6 features -> 2 timesteps, the last one zero-padded
+  cfg.epochs = 3;
+  models::Lstm lstm(cfg);
+  lstm.fit(p.X, p.y);
+  std::vector<double> expect(p.X_test.rows());
+  for (std::size_t r = 0; r < p.X_test.rows(); ++r)
+    expect[r] = lstm.predict_one(p.X_test.row(r));
+  for (const int threads : {1, 4}) {
+    par::set_threads(threads);
+    std::vector<double> got(p.X_test.rows());
+    lstm.predict_into(p.X_test, got);
+    EXPECT_EQ(got, expect) << "threads=" << threads;
+  }
 }
 
 TEST(Determinism, PermutationImportanceIsBitIdenticalAcrossThreadCounts) {

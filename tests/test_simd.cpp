@@ -96,6 +96,119 @@ TEST(SimdKernels, VectorMatchesScalarBitForBit) {
   }
 }
 
+// Row-major rows x n matrix plus a per-row alpha with every third entry
+// zero (alternating signs), as the LSTM's BPTT produces them.
+struct RowsCase {
+  std::size_t rows, n;
+  std::vector<double> w, alpha;
+  RowsCase(std::size_t rows_, std::size_t n_, Rng& rng)
+      : rows(rows_), n(n_), w(random_vec(rows_ * n_, rng)),
+        alpha(random_vec(rows_, rng)) {
+    for (std::size_t r = 0; r < rows; r += 3) alpha[r] = r % 2 ? -0.0 : 0.0;
+  }
+};
+
+const std::size_t kRowCounts[] = {0, 1, 3, 13, 64};
+
+TEST(SimdKernels, MatvecMatchesDotPerRowOnBothPaths) {
+  Rng rng(29);
+  for (const std::size_t rows : kRowCounts) {
+    for (const std::size_t n : kSizes) {
+      const RowsCase c(rows, n, rng);
+      const std::vector<double> x = random_vec(n, rng);
+      std::vector<double> out_s(rows), out_v(rows);
+      simd::scalar::matvec(c.w.data(), rows, x.data(), n, out_s.data());
+      simd::vector::matvec(c.w.data(), rows, x.data(), n, out_v.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double ref = simd::scalar::dot(c.w.data() + r * n, x.data(), n);
+        ASSERT_EQ(bits(out_s[r]), bits(ref)) << "rows=" << rows << " n=" << n;
+        ASSERT_EQ(bits(out_v[r]), bits(ref)) << "rows=" << rows << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, AxpyRowsMatchesAxpyLoopOnBothPaths) {
+  Rng rng(31);
+  for (const std::size_t rows : kRowCounts) {
+    for (const std::size_t n : kSizes) {
+      const RowsCase c(rows, n, rng);
+      const std::vector<double> v = random_vec(n, rng);
+      // Every stride shape: rank-1 update of y's rows (x shared), sum of
+      // scaled x rows into one y (y shared), row-to-row, and both shared.
+      for (const bool x_rows : {false, true}) {
+        for (const bool y_rows : {false, true}) {
+          const std::size_t xs = x_rows ? n : 0, ys = y_rows ? n : 0;
+          const std::vector<double>& x = x_rows ? c.w : v;
+          const std::vector<double> y0 =
+              random_vec(y_rows ? rows * n : n, rng);
+          std::vector<double> ref = y0, ys_out = y0, yv_out = y0;
+          for (std::size_t r = 0; r < rows; ++r) {
+            if (c.alpha[r] == 0.0) continue;
+            simd::scalar::axpy(c.alpha[r], x.data() + r * xs,
+                               ref.data() + r * ys, n);
+          }
+          simd::scalar::axpy_rows(c.alpha.data(), rows, x.data(), xs,
+                                  ys_out.data(), ys, n);
+          simd::vector::axpy_rows(c.alpha.data(), rows, x.data(), xs,
+                                  yv_out.data(), ys, n);
+          for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(bits(ys_out[i]), bits(ref[i]))
+                << "rows=" << rows << " n=" << n << " xs=" << xs
+                << " ys=" << ys << " i=" << i;
+            ASSERT_EQ(bits(yv_out[i]), bits(ref[i]))
+                << "rows=" << rows << " n=" << n << " xs=" << xs
+                << " ys=" << ys << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, AxpyRowsSkipsZeroAlphaRowsBitForBit) {
+  // A multiplied-out zero row would turn -0.0 into +0.0 and, against an
+  // Inf/NaN x, poison y with NaN.  Skipped rows must do neither.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : {std::size_t{3}, std::size_t{8}, std::size_t{19}}) {
+    // Row 0 is live; rows 1 and 2 carry zero alphas over non-finite x.
+    const std::vector<double> alpha = {1.5, 0.0, -0.0};
+    std::vector<double> x(3 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = 0.25 * static_cast<double>(i + 1);
+      x[n + i] = i % 2 ? inf : -inf;
+      x[2 * n + i] = nan;
+    }
+    std::vector<double> y0(3 * n, -0.0);
+    for (std::size_t i = 0; i < n; i += 2) y0[i] = 2.0;
+    for (const bool vector_path : {false, true}) {
+      const auto run = vector_path ? simd::vector::axpy_rows
+                                   : simd::scalar::axpy_rows;
+      // Strided y: the zero rows' y stays -0.0 exactly.
+      std::vector<double> y = y0;
+      run(alpha.data(), 3, x.data(), n, y.data(), n, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_BITS_EQ(y[i], y0[i] + 1.5 * x[i]) << "i=" << i;
+        EXPECT_BITS_EQ(y[n + i], -0.0) << "i=" << i;
+        EXPECT_BITS_EQ(y[2 * n + i], -0.0) << "i=" << i;
+      }
+      // Shared y: only the live row contributes.
+      std::vector<double> shared(y0.begin(), y0.begin() + static_cast<std::ptrdiff_t>(n));
+      run(alpha.data(), 3, x.data(), n, shared.data(), 0, n);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_BITS_EQ(shared[i], y0[i] + 1.5 * x[i]) << "i=" << i;
+      // All-zero alphas: y untouched, -0.0 included.
+      const std::vector<double> zeros = {0.0, -0.0, 0.0};
+      std::vector<double> untouched = y0;
+      run(zeros.data(), 3, x.data(), n, untouched.data(), n, n);
+      run(zeros.data(), 3, x.data(), n, untouched.data(), 0, n);
+      for (std::size_t i = 0; i < untouched.size(); ++i)
+        ASSERT_EQ(bits(untouched[i]), bits(y0[i])) << "i=" << i;
+    }
+  }
+}
+
 TEST(SimdKernels, SquaredErrorMasksNonFinitePairsIdentically) {
   Rng rng(13);
   const std::size_t n = 129;  // odd tail
@@ -241,12 +354,32 @@ TEST(SimdDispatch, CountsKernelCalls) {
   if constexpr (!obs::kCompiledIn) {
     GTEST_SKIP() << "obs compiled out";
   }
-  obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "leaf_simd_calls_total", obs::label("kernel", "sum"));
+  const auto counter = [](const char* kernel) -> obs::Counter& {
+    return obs::MetricsRegistry::global().counter(
+        "leaf_simd_calls_total", obs::label("kernel", kernel));
+  };
+  obs::Counter& c = counter("sum");
   const std::uint64_t before = c.value();
   const std::vector<double> a(17, 1.0);
   EXPECT_DOUBLE_EQ(simd::sum(a), 17.0);
   EXPECT_EQ(c.value(), before + 1);
+
+  // The row kernels count one call per matrix, not per row.
+  const std::vector<double> w(5 * 17, 0.5);
+  std::vector<double> out(5);
+  obs::Counter& mv = counter("matvec");
+  const std::uint64_t mv_before = mv.value();
+  simd::matvec(w, a, out);
+  EXPECT_EQ(mv.value(), mv_before + 1);
+  EXPECT_DOUBLE_EQ(out[4], 8.5);
+
+  const std::vector<double> alpha = {1.0, 0.0, 2.0, 0.0, 1.0};
+  std::vector<double> y(17, 0.0);
+  obs::Counter& ar = counter("axpy_rows");
+  const std::uint64_t ar_before = ar.value();
+  simd::axpy_rows(alpha, w, 17, y, 0, 17);
+  EXPECT_EQ(ar.value(), ar_before + 1);
+  EXPECT_DOUBLE_EQ(y[16], 2.0);
 }
 
 TEST(SimdAlignedBuffer, AlignmentGrowthAndMove) {
