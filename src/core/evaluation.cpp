@@ -188,6 +188,7 @@ EvalResult run_scheme(const data::Featurizer& featurizer,
                       .train_window = cfg.train_window,
                       .rng = &rng,
                       .prototype = &prototype,
+                      .fit_caches = &fit_caches,
                       .cache = cfg.cache,
                       .events = cfg.events,
                       .shard = cfg.obs_shard};
@@ -198,8 +199,9 @@ EvalResult run_scheme(const data::Featurizer& featurizer,
     bool retrained = false;
     if (std::unique_ptr<models::Regressor> replacement =
             scheme.take_replacement_model()) {
-      // Ensemble-style scheme: install the model it built directly.
+      // The scheme built the model itself: install it directly.
       model = std::move(replacement);
+      if (new_train.has_value()) train = std::move(*new_train);
       result.retrain_days.push_back(day);
       retrained = true;
     } else if (new_train.has_value() && !new_train->empty()) {

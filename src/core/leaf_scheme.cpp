@@ -27,6 +27,11 @@ LeafScheme::LeafScheme(LeafConfig cfg, double target_dispersion)
 void LeafScheme::reset() {
   rng_ = Rng(cfg_.seed);
   last_groups_.clear();
+  candidate_.reset();
+}
+
+std::unique_ptr<models::Regressor> LeafScheme::take_replacement_model() {
+  return std::move(candidate_);
 }
 
 std::string LeafScheme::name() const {
@@ -39,25 +44,24 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   if (!ctx.drift) return std::nullopt;
   LEAF_SPAN("leaf.mitigate");
 
-  const data::SupervisedSet latest =
-      latest_labeled_window(ctx, ctx.train_window);
+  data::SupervisedSet latest = latest_labeled_window(ctx, ctx.train_window);
   if (latest.empty() || ctx.current_train.empty()) return std::nullopt;
 
   // --- Explain: rank features by sensitivity on the drifting samples,
   // then group correlated features and keep the top representatives.
+  // Drift explanations are given in terms of KPIs (the paper's feature
+  // groups are all KPI columns): only the leading KPI columns are
+  // permuted, so temporal/area encodings score 0 and never represent a
+  // group (resampling on e.g. day-of-week bins would be meaningless).
   explain::ImportanceConfig imp_cfg;
   imp_cfg.max_rows = cfg_.importance_max_rows;
   imp_cfg.repeats = cfg_.importance_repeats;
+  imp_cfg.max_cols =
+      static_cast<std::size_t>(ctx.featurizer.num_kpi_features());
   Rng imp_rng = rng_.fork(static_cast<std::uint64_t>(ctx.eval_day));
-  std::vector<double> importance = explain::permutation_importance(
+  const std::vector<double> importance = explain::permutation_importance(
       ctx.model, latest.X, latest.y, ctx.featurizer.norm_range(), imp_rng,
       imp_cfg);
-  // Drift explanations are given in terms of KPIs (the paper's feature
-  // groups are all KPI columns): temporal/area encodings never represent
-  // a group, and resampling on e.g. day-of-week bins would be meaningless.
-  for (std::size_t c = static_cast<std::size_t>(ctx.featurizer.num_kpi_features());
-       c < importance.size(); ++c)
-    importance[c] = 0.0;
 
   explain::GroupingConfig grp_cfg;
   grp_cfg.corr_threshold = cfg_.corr_threshold;
@@ -66,8 +70,12 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   if (last_groups_.empty()) {
     // No feature carries signal (can happen on tiny windows): fall back to
     // plain triggered behaviour rather than skipping mitigation.
-    return latest_labeled_window(ctx, ctx.train_window);
+    return latest;
   }
+
+  // The model is fixed for the whole step: one pass over the drifting
+  // samples serves the contrast diagnostic and every restructuring round.
+  const std::vector<double> latest_pred = ctx.model.predict(latest.X);
 
   // Diagnostic: error contrast of the top group (how localized the error
   // is over the representative feature's bins).  Recorded for the case
@@ -80,8 +88,7 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
     const std::vector<double> edges =
         explain::lea_bin_edges(fv, cfg_.lea_bins);
     const explain::LeaResult el = explain::compute_lea(
-        ctx.model, latest, rep, cfg_.lea_bins, ctx.featurizer.norm_range(),
-        edges);
+        latest_pred, latest.y, fv, rep, ctx.featurizer.norm_range(), edges);
     double max_err = 0.0, sum_we = 0.0;
     std::size_t total = 0;
     for (std::size_t b = 0; b < el.error.size(); ++b) {
@@ -106,14 +113,23 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   for (const auto& group : last_groups_) {
     Rng round_rng = rng_.fork(static_cast<std::uint64_t>(
         ctx.eval_day * 131 + group.representative));
-    train =
-        restructure(ctx, train, latest, pool, group.representative, round_rng);
+    train = restructure(ctx, train, latest, latest_pred, pool,
+                        group.representative, round_rng);
   }
 
   // --- Validate: fit a candidate on the restructured set and require it
   // to hold up against the current model on the recency-weighted pool.
+  // The candidate fits against a copy of the run's caches, so a vetoed
+  // one leaves them as the deployed fits left them; an accepted one is
+  // the model deployed, with its caches committed.
   if (ctx.prototype != nullptr && !pool.empty()) {
-    auto candidate = ctx.prototype->clone_untrained();
+    std::unique_ptr<models::Regressor> candidate =
+        ctx.prototype->clone_untrained();
+    models::FitCaches caches;
+    if (ctx.fit_caches != nullptr) {
+      caches = *ctx.fit_caches;
+      candidate->attach_caches(&caches);
+    }
     candidate->fit(train.X, train.y);
     if (candidate->trained()) {
       double w_sum = 0.0, cur_sq = 0.0, cand_sq = 0.0;
@@ -147,6 +163,11 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
         return std::nullopt;
       }
     }
+    if (ctx.fit_caches != nullptr) {
+      *ctx.fit_caches = std::move(caches);
+      candidate->attach_caches(ctx.fit_caches);
+    }
+    candidate_ = std::move(candidate);
   }
   return train;
 }
@@ -154,19 +175,19 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
 data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
                                             const data::SupervisedSet& train,
                                             const data::SupervisedSet& latest,
+                                            std::span<const double> latest_pred,
                                             const data::SupervisedSet& pool,
                                             int representative,
                                             Rng& rng) const {
-  const double norm_range = ctx.featurizer.norm_range();
-
   // E_L: the model's local error distribution over quantile bins of the
   // representative feature, measured on the latest drifting samples.
   const std::span<const double> latest_fv =
       latest.X.col_view(static_cast<std::size_t>(representative));
   const std::vector<double> edges =
       explain::lea_bin_edges(latest_fv, cfg_.lea_bins);
-  const explain::LeaResult el = explain::compute_lea(
-      ctx.model, latest, representative, cfg_.lea_bins, norm_range, edges);
+  const explain::LeaResult el =
+      explain::compute_lea(latest_pred, latest.y, latest_fv, representative,
+                           ctx.featurizer.norm_range(), edges);
 
   const double max_err =
       el.error.empty() ? 0.0

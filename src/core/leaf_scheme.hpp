@@ -17,8 +17,9 @@
 //          latest drifting samples with per-bin weights that are *cubic*
 //          in E_L for high-dispersion KPIs (focus hard on the worst
 //          regions) and *linear* for low-dispersion KPIs;
-//   4. retrains on the restructured set, which keeps the original size so
-//      every scheme pays the same per-retrain cost (§6.1).
+//   4. fits a candidate on the restructured set, which keeps the original
+//      size so every scheme pays the same per-retrain cost (§6.1), and
+//      deploys that candidate unless validation vetoes it.
 //
 // Successive drift events operate on the previously restructured set
 // ("each round of forgetting and over-sampling is based on the previous
@@ -109,6 +110,10 @@ class LeafScheme final : public MitigationScheme {
 
   void reset() override;
   std::optional<data::SupervisedSet> on_step(const SchemeContext& ctx) override;
+  /// The validated candidate of the last on_step that returned a set (it
+  /// was fitted on that set), or null when there was nothing to validate
+  /// against and the engine must fit the set itself.
+  std::unique_ptr<models::Regressor> take_replacement_model() override;
   std::string name() const override;
 
   /// The feature groups chosen at the most recent mitigation (empty before
@@ -128,12 +133,14 @@ class LeafScheme final : public MitigationScheme {
 
  private:
   /// One round of forgetting + over-sampling against a representative
-  /// feature.  `latest` defines the error distribution E_L; `pool` is the
+  /// feature.  `latest` and the current model's predictions on it
+  /// (`latest_pred`) define the error distribution E_L; `pool` is the
   /// collected data that over-sampling draws from.  Returns the
   /// restructured training set (same size as `train`).
   data::SupervisedSet restructure(const SchemeContext& ctx,
                                   const data::SupervisedSet& train,
                                   const data::SupervisedSet& latest,
+                                  std::span<const double> latest_pred,
                                   const data::SupervisedSet& pool,
                                   int representative, Rng& rng) const;
 
@@ -142,6 +149,9 @@ class LeafScheme final : public MitigationScheme {
   Rng rng_;
   std::vector<explain::FeatureGroup> last_groups_;
   double last_contrast_ = 0.0;
+  /// Accepted candidate awaiting take_replacement_model() (not snapshotted:
+  /// it never outlives the step).
+  std::unique_ptr<models::Regressor> candidate_;
 };
 
 }  // namespace leaf::core

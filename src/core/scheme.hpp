@@ -47,6 +47,10 @@ struct SchemeContext {
   /// validate a candidate training set before proposing it (LEAF) fit a
   /// clone of this.  May be null for policies that don't validate.
   const models::Regressor* prototype = nullptr;
+  /// Run-scoped fit caches of the deployed model (see core::run_scheme).
+  /// LEAF fits its candidate against a copy and commits the copy here only
+  /// when it hands the candidate over.  May be null (it then fits uncached).
+  models::FitCaches* fit_caches = nullptr;
   /// Optional slice memo shared across runs (see core/eval_cache.hpp);
   /// schemes route window materialization through it when present.
   EvalCache* cache = nullptr;
@@ -70,10 +74,12 @@ class MitigationScheme {
   virtual std::optional<data::SupervisedSet> on_step(
       const SchemeContext& ctx) = 0;
 
-  /// Ensemble-style policies (AUE2) build the replacement model
-  /// themselves instead of handing the engine a training set.  When this
-  /// returns non-null after on_step, the engine installs the model
-  /// directly (counted as a retrain) and ignores on_step's training set.
+  /// Policies that build the replacement model themselves (AUE2's
+  /// ensemble, LEAF's validated candidate) hand it over here instead of
+  /// having the engine refit.  When this returns non-null after on_step,
+  /// the engine installs the model directly (counted as a retrain); a
+  /// training set on_step returned alongside is the one the model was
+  /// fitted on and becomes the set in use.
   virtual std::unique_ptr<models::Regressor> take_replacement_model() {
     return nullptr;
   }

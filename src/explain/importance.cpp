@@ -43,7 +43,8 @@ std::vector<double> permutation_importance(const models::Regressor& model,
   // fork), as a stable part of the function's contract.
   const Rng root = rng.fork(0x1A9F);
   const std::size_t reps = static_cast<std::size_t>(cfg.repeats);
-  const std::size_t n_tasks = k * reps;
+  const std::size_t permuted = std::min(k, cfg.max_cols);
+  const std::size_t n_tasks = permuted * reps;
   std::vector<double> deltas(n_tasks);
   par::parallel_for_chunks(n_tasks, [&](std::size_t begin, std::size_t end) {
     // Per-chunk scratch: a private copy of the evaluation matrix plus
@@ -67,7 +68,7 @@ std::vector<double> permutation_importance(const models::Regressor& model,
   });
 
   // Ordered reduction: repeats fold in repeat order per column.
-  for (std::size_t c = 0; c < k; ++c) {
+  for (std::size_t c = 0; c < permuted; ++c) {
     double acc = 0.0;
     for (std::size_t rep = 0; rep < reps; ++rep) acc += deltas[c * reps + rep];
     scores[c] = acc / static_cast<double>(reps);

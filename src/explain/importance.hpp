@@ -8,6 +8,7 @@
 // `repeats` permutations.  Model-agnostic: only predictions are used.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -22,6 +23,9 @@ struct ImportanceConfig {
   /// Evaluation rows are subsampled to at most this many for speed (the
   /// permutation loop is O(rows * features * repeats) predictions).
   std::size_t max_rows = 2000;
+  /// Only the leading `max_cols` columns are permuted; the rest score
+  /// exactly 0.  A column's score does not depend on this bound.
+  std::size_t max_cols = std::numeric_limits<std::size_t>::max();
 };
 
 /// Per-feature importance scores (same order as X's columns).  Scores are

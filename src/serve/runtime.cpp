@@ -302,6 +302,7 @@ struct FleetRuntime::Shard {
                             .train_window = cfg.train_window,
                             .rng = &rng,
                             .prototype = prototype.get(),
+                            .fit_caches = &fit_caches,
                             .cache = nullptr,
                             .events = &events,
                             .shard = index};
@@ -342,6 +343,8 @@ struct FleetRuntime::Shard {
       emit_supervision(obs::EventKind::kBreakerClose, day,
                        "probe retrain allowed");
     if (!allowed) {
+      // A suppressed LEAF candidate is dropped here, but its fit already
+      // committed to `fit_caches`: later fits see its bin edges.
       ++result.degraded.suppressed_retrains;
       suppressed_ctr.inc();
       return;
@@ -350,6 +353,7 @@ struct FleetRuntime::Shard {
     bool retrained = false;
     if (replacement != nullptr) {
       model = std::move(replacement);
+      if (new_train.has_value()) train = std::move(*new_train);
       result.retrain_days.push_back(day);
       retrained = true;
     } else {

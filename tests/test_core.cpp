@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/calendar.hpp"
 #include "common/metrics.hpp"
 #include "core/eval_cache.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
+#include "io/serializer.hpp"
 #include "models/factory.hpp"
 
 namespace leaf::core {
@@ -195,6 +197,195 @@ TEST(LeafScheme, NameEncodesGroupCount) {
   LeafConfig three;
   three.num_groups = 3;
   EXPECT_EQ(LeafScheme(three, 1.0).name(), "LEAF(3)");
+}
+
+// --- LEAF fits once per retrain ----------------------------------------------
+
+/// Regressor decorator counting fit() calls across itself and its clones.
+class FitCounter final : public models::Regressor {
+ public:
+  FitCounter(std::unique_ptr<models::Regressor> inner, int* fits)
+      : inner_(std::move(inner)), fits_(fits) {}
+  void fit(const Matrix& X, std::span<const double> y,
+           std::span<const double> w = {}) override {
+    ++*fits_;
+    inner_->fit(X, y, w);
+  }
+  double predict_one(std::span<const double> x) const override {
+    return inner_->predict_one(x);
+  }
+  void predict_into(const Matrix& X, std::span<double> out) const override {
+    inner_->predict_into(X, out);
+  }
+  void attach_caches(models::FitCaches* caches) override {
+    inner_->attach_caches(caches);
+  }
+  std::unique_ptr<models::Regressor> clone_untrained() const override {
+    return std::make_unique<FitCounter>(inner_->clone_untrained(), fits_);
+  }
+  std::string name() const override { return inner_->name(); }
+  bool trained() const override { return inner_->trained(); }
+
+ private:
+  std::unique_ptr<models::Regressor> inner_;
+  int* fits_;
+};
+
+TEST(LeafScheme, FitsOncePerAcceptedRetrain) {
+  // GDR is the most dispersed target: LEAF both accepts and vetoes there.
+  const data::Featurizer f(ds(), data::TargetKpi::kGDR);
+  for (const models::ModelFamily family :
+       {models::ModelFamily::kGbdt, models::ModelFamily::kKnn}) {
+    int fits = 0;
+    const FitCounter proto(models::make_model(family, tiny_scale(), 1), &fits);
+    LeafScheme scheme(LeafConfig{}, kpi_dispersion(ds(), data::TargetKpi::kGDR));
+    int seen = 1, vetoes = 0;  // the initial fit precedes the first step
+    const EvalResult r = run_scheme(
+        f, proto, scheme, tiny_config(),
+        [&](int, double, bool drift, bool retrained) {
+          const int step_fits = fits - seen;
+          seen = fits;
+          if (retrained) {
+            EXPECT_EQ(step_fits, 1);
+          } else {
+            EXPECT_LE(step_fits, drift ? 1 : 0);  // a vetoed candidate
+            vetoes += step_fits;
+          }
+        });
+    SCOPED_TRACE(r.model);
+    EXPECT_GT(r.retrain_days.size(), 0u);
+    EXPECT_GT(vetoes, 0);
+    EXPECT_EQ(fits, 1 + static_cast<int>(r.retrain_days.size()) + vetoes);
+  }
+}
+
+/// The bytes BinEdgeCache::save writes: the full cache state.
+std::vector<std::uint8_t> cache_bytes(const models::FitCaches& caches) {
+  io::Serializer out;
+  caches.bin_edges.save(out);
+  return {out.bytes().begin(), out.bytes().end()};
+}
+
+/// A GBDT deployed on the anchor window with run-scoped caches attached,
+/// and a LEAF drift step against it.
+struct LeafCacheStep {
+  models::FitCaches caches;
+  std::unique_ptr<models::Regressor> proto =
+      models::make_model(models::ModelFamily::kGbdt, tiny_scale(), 1);
+  std::unique_ptr<models::Regressor> model = proto->clone_untrained();
+  data::SupervisedSet train;
+  Rng rng{1};
+
+  LeafCacheStep() {
+    const int anchor = cal::anchor_2018_07_01();
+    train = featurizer().window(anchor - 13, anchor);
+    model->attach_caches(&caches);
+    model->fit(train.X, train.y);
+  }
+  SchemeContext ctx() {
+    return {.featurizer = featurizer(),
+            .model = *model,
+            .current_train = train,
+            .eval_day = 900,
+            .nrmse = 0.2,
+            .drift = true,
+            .train_window = 14,
+            .rng = &rng,
+            .prototype = proto.get(),
+            .fit_caches = &caches};
+  }
+};
+
+TEST(LeafScheme, VetoLeavesFitCachesUntouched) {
+  LeafCacheStep step;
+  const std::vector<std::uint8_t> before = cache_bytes(step.caches);
+  LeafConfig lc;
+  lc.validation_tolerance_low = lc.validation_tolerance_high = 1e-6;
+  LeafScheme scheme(lc, 0.5);
+  scheme.reset();
+  EXPECT_FALSE(scheme.on_step(step.ctx()).has_value());
+  EXPECT_EQ(scheme.take_replacement_model(), nullptr);
+  EXPECT_EQ(cache_bytes(step.caches), before);
+}
+
+TEST(LeafScheme, AcceptedCandidateIsTheCachedRefit) {
+  LeafCacheStep step;
+  models::FitCaches refit_caches = step.caches;
+  LeafConfig lc;
+  lc.validation_tolerance_low = lc.validation_tolerance_high = 1e9;
+  LeafScheme scheme(lc, 0.5);
+  scheme.reset();
+  const std::optional<data::SupervisedSet> set = scheme.on_step(step.ctx());
+  ASSERT_TRUE(set.has_value());
+  const std::unique_ptr<models::Regressor> deployed =
+      scheme.take_replacement_model();
+  ASSERT_NE(deployed, nullptr);
+  EXPECT_EQ(scheme.take_replacement_model(), nullptr);  // handed over once
+
+  // What an engine refit of the returned set on the run's caches gives.
+  const std::unique_ptr<models::Regressor> refit = step.proto->clone_untrained();
+  refit->attach_caches(&refit_caches);
+  refit->fit(set->X, set->y);
+  EXPECT_EQ(deployed->predict(set->X), refit->predict(set->X));
+  EXPECT_EQ(cache_bytes(step.caches), cache_bytes(refit_caches));
+}
+
+// --- LEAF bit-identity golden ------------------------------------------------
+
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over every series an evaluation run produces.
+std::uint64_t result_fingerprint(const EvalResult& r) {
+  std::uint64_t h = fnv1a(nullptr, 0);
+  const auto ints = [&h](const std::vector<int>& v) {
+    h = fnv1a(v.data(), v.size() * sizeof(int), h);
+  };
+  const auto doubles = [&h](const std::vector<double>& v) {
+    h = fnv1a(v.data(), v.size() * sizeof(double), h);
+  };
+  ints(r.days);
+  doubles(r.nrmse);
+  doubles(r.mean_ne);
+  ints(r.retrain_days);
+  ints(r.drift_days);
+  return fnv1a(&r.ne_p95, sizeof r.ne_p95, h);
+}
+
+TEST(LeafScheme, LstmAndKnnResultsAreBitIdenticalGolden) {
+  // Pinned on the implementation that refit every accepted candidate in
+  // the engine, permuted every column and predicted the drifting window
+  // once per use.  LSTM and KNN take no fit caches, so deploying the
+  // validated candidate must not move a bit.  DVol/LSTM includes a veto,
+  // and so does GDR/KNN.
+  struct Case {
+    data::TargetKpi kpi;
+    models::ModelFamily family;
+    std::uint64_t want;
+  };
+  for (const Case& c :
+       {Case{data::TargetKpi::kDVol, models::ModelFamily::kLstm,
+             0xaacfa54f3c37ca24ULL},
+        Case{data::TargetKpi::kDVol, models::ModelFamily::kKnn,
+             0xae3b72ec7225b82bULL},
+        Case{data::TargetKpi::kGDR, models::ModelFamily::kKnn,
+             0x295248c2c3dc8f1cULL}}) {
+    const data::Featurizer f(ds(), c.kpi);
+    LeafScheme scheme(LeafConfig{}, kpi_dispersion(ds(), c.kpi));
+    const EvalResult r = run_scheme(
+        f, *models::make_model(c.family, tiny_scale(), 1), scheme,
+        tiny_config());
+    SCOPED_TRACE(data::to_string(c.kpi) + "/" + r.model);
+    EXPECT_FALSE(r.retrain_days.empty());
+    EXPECT_EQ(result_fingerprint(r), c.want);
+  }
 }
 
 // --- scheme factory -----------------------------------------------------------

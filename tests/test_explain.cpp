@@ -2,7 +2,10 @@
 // correlation grouping, and LEA / LEAplot / LEAgram.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/rng.hpp"
 #include "explain/grouping.hpp"
@@ -60,6 +63,41 @@ TEST(Importance, RowSubsamplingStillFindsSignal) {
   cfg.max_rows = 100;  // force subsampling
   const auto scores = permutation_importance(model, p.X, p.y, 1.0, rng, cfg);
   EXPECT_GT(scores[0], scores[2]);
+}
+
+TEST(Importance, ColumnBoundIsBitIdentical) {
+  // A nonlinear model and a row subsample, so both the subsample draw and
+  // the per-task sub-streams are in play.
+  const CorrelatedProblem p(400);
+  models::Gbdt model(models::GbdtConfig::catboost_like(10, 3));
+  model.fit(p.X, p.y);
+  ImportanceConfig cfg;
+  cfg.max_rows = 150;
+  Rng full_rng(7);
+  const std::vector<double> full =
+      permutation_importance(model, p.X, p.y, 1.0, full_rng, cfg);
+  for (std::size_t bound : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("bound " + std::to_string(bound));
+    cfg.max_cols = bound;
+    Rng rng(7);
+    const std::vector<double> scores =
+        permutation_importance(model, p.X, p.y, 1.0, rng, cfg);
+    ASSERT_EQ(scores.size(), full.size());
+    for (std::size_t c = 0; c < scores.size(); ++c) {
+      if (c < bound) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(scores[c]),
+                  std::bit_cast<std::uint64_t>(full[c]))
+            << "column " << c;
+      } else {
+        EXPECT_EQ(scores[c], 0.0) << "column " << c;
+        EXPECT_FALSE(std::signbit(scores[c])) << "column " << c;
+      }
+    }
+    // The caller's generator ends in the same state as after a full sweep.
+    Rng after_full = full_rng;
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(rng(), after_full());
+  }
+  EXPECT_NE(full[1], 0.0);  // the bound really cut a scored column
 }
 
 TEST(Importance, EmptyInputSafe) {

@@ -286,7 +286,9 @@ TEST(ObsRegistry, PrometheusScrapeCompliesWithTheTextFormat) {
       EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' ||
                   ch == ':')
           << line;
-    if (brace != std::string::npos) EXPECT_EQ(series.back(), '}') << line;
+    if (brace != std::string::npos) {
+      EXPECT_EQ(series.back(), '}') << line;
+    }
 
     // Histogram bucket discipline: cumulative counts, closing +Inf.
     const std::string labels =

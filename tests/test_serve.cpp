@@ -82,6 +82,30 @@ TEST_F(ServeFixture, SingleShardMatchesRunScheme) {
   expect_identical(got[0], want);
 }
 
+// LEAF hands its validated candidate to the shard (fitted against a copy
+// of the shard's fit caches); a tree-family shard that retrains must still
+// match run_scheme, which deploys the same candidate.
+TEST_F(ServeFixture, LeafGbdtShardThatRetrainsMatchesRunScheme) {
+  const std::uint64_t seed = 11;
+  const data::TargetKpi kpi = data::TargetKpi::kDVol;
+
+  const core::EvalConfig cfg = core::make_eval_config(scale, seed);
+  const data::Featurizer fz(ds, kpi);
+  const auto prototype =
+      models::make_model(models::ModelFamily::kGbdt, scale, cfg.seed);
+  const auto scheme = core::make_scheme("LEAF", core::kpi_dispersion(ds, kpi),
+                                        cfg.seed ^ 0x99);
+  const core::EvalResult want = core::run_scheme(fz, *prototype, *scheme, cfg);
+  ASSERT_FALSE(want.retrain_days.empty());
+
+  FleetRuntime fleet(ds, scale,
+                     {{kpi, models::ModelFamily::kGbdt, "LEAF", seed}});
+  fleet.run_to_end();
+  const std::vector<core::EvalResult> got = fleet.results();
+  ASSERT_EQ(got.size(), 1u);
+  expect_identical(got[0], want);
+}
+
 // Same fleet, different thread counts → byte-identical results.
 TEST_F(ServeFixture, ResultsIdenticalAtAnyThreadCount) {
   ThreadGuard guard;
