@@ -10,6 +10,11 @@
 // The engine produces the per-day NRMSE series behind Figures 1/2/9, the
 // retrain counts of Tables 3/4/5, and — via metrics::delta_nrmse_pct
 // against the Static run — the ΔNRMSE̅ values in every evaluation table.
+//
+// The loop lives in exactly one place, the resumable `Stepper`: run_scheme
+// drives one to the end, and every serve::FleetRuntime shard is a Stepper
+// plus supervision (retry/backoff, the retrain breaker, chaos), stepping it
+// one day per fleet step and snapshotting it between steps.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +31,16 @@
 #include "ingest/pipeline.hpp"
 #include "models/regressor.hpp"
 #include "obs/events.hpp"
+#include "simd/simd.hpp"
+
+namespace leaf::io {
+class Serializer;
+class Deserializer;
+}  // namespace leaf::io
 
 namespace leaf::core {
+
+class RetrainBreaker;
 
 struct EvalConfig {
   /// Training window length in days (the paper settles on 14; Fig. 2a).
@@ -123,6 +136,90 @@ using StepObserver = std::function<void(int day, double nrmse, bool drift,
 /// which needs per-sample signed errors from the *evolving* model chain).
 using PredictionSink = std::function<void(
     int day, const data::SupervisedSet& test, std::span<const double> pred)>;
+
+/// What one Stepper::step() did.
+struct StepOutcome {
+  int day = 0;          ///< target day the step evaluated
+  double nrmse = 0.0;   ///< the day's NRMSE (possibly non-finite)
+  /// Thin test slice: nothing was predicted, scored, or observed.
+  bool skipped = false;
+  bool drift = false;
+  bool retrained = false;
+  /// Wall-clock of the trigger→fit→swap path (0 unless obs is enabled).
+  double retrain_seconds = 0.0;
+};
+
+/// The walk-forward loop as a resumable object: everything one (model,
+/// scheme) evaluation keeps between days.  Construction performs the
+/// initial fit; each step() evaluates one day.  The featurizer, prototype
+/// and scheme (and whatever the config points at) must outlive it.
+class Stepper {
+ public:
+  /// Initial fit on the `train_window` days ending at the anchor.  Throws
+  /// std::runtime_error naming the window when it has no supervised pairs.
+  Stepper(const data::Featurizer& featurizer,
+          const models::Regressor& prototype, MitigationScheme& scheme,
+          const EvalConfig& cfg);
+
+  bool done() const { return done_; }
+  int next_day() const { return next_day_; }
+  std::uint64_t steps() const { return steps_; }
+  const models::Regressor& model() const { return *model_; }
+  /// Results so far, without the finalization result() applies.
+  const EvalResult& partial() const { return result_; }
+
+  /// Evaluates day next_day() (requires !done()).  Two optional per-step
+  /// policies shape the retrain decision: `force_retrain` requests a
+  /// retrain on the latest labeled window when the scheme asked for none,
+  /// and a non-null `breaker` gates every request (a suppressed one keeps
+  /// the deployed model and counts in degraded.suppressed_retrains).
+  /// `sink` sees each scored day's test slice and predictions.
+  StepOutcome step(bool force_retrain = false,
+                   RetrainBreaker* breaker = nullptr,
+                   const PredictionSink& sink = {});
+
+  /// The results so far with ne_p95 computed and the ingest report's
+  /// counters copied in.
+  EvalResult result() const;
+
+  /// Snapshot hooks (leaf::io): the RNG, detector, scheme state, model,
+  /// fit caches, training set, progress and partial results.  load()
+  /// parses into a fresh Stepper (loading the scheme's state into
+  /// `scheme`) and throws io::SnapshotError on malformed input.
+  void save(io::Serializer& out) const;
+  static Stepper load(io::Deserializer& in, const data::Featurizer& featurizer,
+                      const models::Regressor& prototype,
+                      MitigationScheme& scheme, const EvalConfig& cfg);
+
+ private:
+  struct Unfitted {};
+  Stepper(const data::Featurizer& featurizer,
+          const models::Regressor& prototype, MitigationScheme& scheme,
+          const EvalConfig& cfg, Unfitted);
+  void emit(obs::EventKind kind, int day, std::string detail,
+            double seconds = 0.0) const;
+
+  const data::Featurizer* featurizer_;
+  const models::Regressor* prototype_;
+  MitigationScheme* scheme_;
+  EvalConfig cfg_;
+  // Run-scoped fit caches (bin-edge reuse across retrains): every clone
+  // trained by the run attaches to them, so they need a stable address.
+  std::unique_ptr<models::FitCaches> fit_caches_;
+  std::unique_ptr<models::Regressor> model_;
+  drift::Kswin detector_;
+  Rng rng_;
+  data::SupervisedSet train_;
+  EvalResult result_;
+  std::vector<double> abs_ne_samples_;
+  int next_day_ = 0;
+  int num_days_ = 0;
+  double norm_range_ = 0.0;
+  bool done_ = false;
+  std::uint64_t steps_ = 0;
+  /// Per-step prediction buffer, reused across steps (scratch only).
+  simd::AlignedBuffer pred_;
+};
 
 /// Runs one (model, scheme) pair over the dataset behind `featurizer`.
 /// The model passed in is used as a prototype: the engine trains a fresh

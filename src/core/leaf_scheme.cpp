@@ -130,7 +130,10 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
       caches = *ctx.fit_caches;
       candidate->attach_caches(&caches);
     }
-    candidate->fit(train.X, train.y);
+    {
+      LEAF_SPAN("leaf.candidate_fit");
+      candidate->fit(train.X, train.y);
+    }
     if (candidate->trained()) {
       double w_sum = 0.0, cur_sq = 0.0, cand_sq = 0.0;
       for (std::size_t i = 0; i < pool.size(); ++i) {

@@ -12,31 +12,17 @@
 #include <thread>
 #include <utility>
 
-#include "common/calendar.hpp"
-#include "common/metrics.hpp"
-#include "common/stats.hpp"
 #include "core/scheme.hpp"
 #include "io/serializer.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "par/parallel.hpp"
-#include "simd/simd.hpp"
 
 namespace leaf::serve {
 
 namespace {
 
 constexpr const char* kLegacyFleetFile = "fleet.leafsnap";
-
-void write_ints(io::Serializer& out, const std::vector<int>& v) {
-  out.put_ints(v);
-}
-
-std::string fmt6(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 /// Path of snapshot generation `gen` (gen 0 = the legacy single-file name
 /// from format v2 deployments, kept discoverable so resuming from one
@@ -106,9 +92,10 @@ const char* to_string(ShardHealth h) {
   return "?";
 }
 
-/// One shard = one (KPI, model family, scheme) pipeline.  `step()` is the
-/// loop body of core::run_scheme verbatim (uncached path, no ingest
-/// guards), so a shard's EvalResult matches run_scheme exactly.
+/// One shard = one (KPI, model family, scheme) pipeline: the core::Stepper
+/// run_scheme drives (so a shard's EvalResult matches run_scheme exactly)
+/// plus supervision — health, backoff, the retrain breaker, and the
+/// supervision log.  Its drift events go to its own log (`cfg.events`).
 struct FleetRuntime::Shard {
   ShardSpec spec;
   int index = -1;  ///< position in the fleet; stamped on emitted events
@@ -118,22 +105,10 @@ struct FleetRuntime::Shard {
   std::unique_ptr<models::Regressor> prototype;
   std::unique_ptr<core::MitigationScheme> scheme;
 
-  // --- mutable per-step state (everything below is snapshotted) ---------
-  models::FitCaches fit_caches;
+  // --- mutable state (everything below is snapshotted) ------------------
+  /// Empty until the initial fit succeeds.
+  std::optional<core::Stepper> stepper;
   obs::EventLog events;  ///< single-writer: only this shard's step() emits
-  std::unique_ptr<models::Regressor> model;
-  drift::Kswin detector;
-  Rng rng;
-  data::SupervisedSet train;
-  core::EvalResult result;
-  std::vector<double> abs_ne_samples;
-  int next_day = 0;
-  int num_days = 0;
-  double norm_range = 0.0;
-  bool done = false;
-  std::uint64_t steps = 0;
-  // --- supervision state (also snapshotted) -----------------------------
-  bool initialized = false;
   ShardHealth health = ShardHealth::kHealthy;
   int consecutive_failures = 0;
   int total_faults = 0;
@@ -141,23 +116,36 @@ struct FleetRuntime::Shard {
   std::string last_error;
   core::RetrainBreaker breaker;
   obs::EventLog supervision;  ///< single-writer, like `events`
-  // Reusable aligned arena for the per-step prediction buffer (NOT
-  // snapshotted: scratch only, sized by the high-water test-slice size).
-  // Replaces a std::vector allocation per step per shard.
-  simd::AlignedBuffer predict_scratch;
 
-  Shard(ShardSpec s, const data::Featurizer& f, double disp,
-        const core::EvalConfig& c, const Scale& scale,
+  Shard(ShardSpec s, int i, const data::Featurizer& f, double disp,
+        const core::EvalConfig& c, std::unique_ptr<models::Regressor> proto,
         const core::BreakerConfig& bcfg)
-      : spec(s),
+      : spec(std::move(s)),
+        index(i),
         featurizer(&f),
         dispersion(disp),
         cfg(c),
-        prototype(models::make_model(spec.model, scale, cfg.seed)),
+        prototype(std::move(proto)),
         scheme(core::make_scheme(spec.scheme, disp, cfg.seed ^ 0x99)),
-        detector(cfg.detector),
-        rng(cfg.seed),
-        breaker(bcfg) {}
+        breaker(bcfg) {
+    cfg.events = &events;
+    cfg.obs_shard = index;
+  }
+
+  bool done() const { return stepper && stepper->done(); }
+  int next_day() const { return stepper ? stepper->next_day() : 0; }
+  const core::EvalResult& partial() const {
+    static const core::EvalResult kNone;
+    return stepper ? stepper->partial() : kNone;
+  }
+
+  core::EvalResult result() const {
+    if (stepper) return stepper->result();
+    core::EvalResult none;
+    none.scheme = scheme->name();
+    none.model = prototype->name();
+    return none;
+  }
 
   void emit_supervision(obs::EventKind kind, int day, std::string detail) {
     supervision.emit({kind, day, index, data::to_string(spec.kpi),
@@ -165,168 +153,8 @@ struct FleetRuntime::Shard {
                       0.0});
   }
 
-  /// Initial training, mirroring the run_scheme preamble.
-  void init() {
-    result = core::EvalResult{};
-    result.scheme = scheme->name();
-    result.model = prototype->name();
-
-    const int anchor =
-        cfg.anchor_day >= 0 ? cfg.anchor_day : cal::anchor_2018_07_01();
-    norm_range = cfg.norm_range_override > 0.0 ? cfg.norm_range_override
-                                               : featurizer->norm_range();
-    num_days = featurizer->dataset().num_days();
-
-    train = featurizer->window(anchor - cfg.train_window + 1, anchor);
-    if (train.empty())
-      throw std::runtime_error(
-          "serve: shard training window produced no supervised pairs");
-    model = prototype->clone_untrained();
-    model->attach_caches(&fit_caches);
-    {
-      LEAF_SPAN("serve.init_fit");
-      model->fit(train.X, train.y);
-    }
-
-    scheme->reset();
-    detector.reset();
-    rng = Rng(cfg.seed);
-    abs_ne_samples.clear();
-    events.clear();
-    next_day = anchor + cfg.horizon;
-    done = next_day >= num_days;
-    steps = 0;
-    health = ShardHealth::kHealthy;
-    consecutive_failures = 0;
-    total_faults = 0;
-    backoff_until = 0;
-    last_error.clear();
-    breaker.reset();
-    supervision.clear();
-    initialized = true;
-  }
-
-  /// One evaluation step (the run_scheme loop body for day = next_day).
-  /// `storm_retrain` is the chaos retrain-storm fault point: force a
-  /// Triggered-style retrain request this step (gated by the breaker like
-  /// any other request).
-  void step(bool storm_retrain) {
-    if (done) return;
-    LEAF_SPAN("serve.step");
-    static obs::Counter& steps_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_steps_total");
-    static obs::Counter& scored_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_days_scored_total");
-    static obs::Counter& skipped_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_days_skipped_total");
-    static obs::Counter& nonfinite_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_nonfinite_total");
-    static obs::Counter& drift_ctr =
-        obs::MetricsRegistry::global().counter("leaf_drift_events_total");
-    static obs::Counter& retrain_ctr =
-        obs::MetricsRegistry::global().counter("leaf_retrains_total");
-    static obs::Counter& suppressed_ctr = obs::MetricsRegistry::global().counter(
-        "leaf_breaker_suppressed_retrains_total");
-    static obs::Histogram& retrain_latency =
-        obs::MetricsRegistry::global().histogram("leaf_retrain_latency_seconds",
-                                                 obs::latency_buckets());
-    ++steps;
-    steps_ctr.inc();
-    const int day = next_day;
-    next_day += cfg.stride;
-    if (next_day >= num_days) done = true;
-
-    const auto emit = [&](obs::EventKind kind, std::string detail,
-                          double seconds = 0.0) {
-      events.emit({kind, day, index, data::to_string(spec.kpi), result.model,
-                   result.scheme, std::move(detail), seconds});
-    };
-
-    const data::SupervisedSet test = featurizer->at_target_day(day);
-    if (static_cast<int>(test.size()) < cfg.min_samples_per_day) {
-      ++result.degraded.days_skipped;
-      skipped_ctr.inc();
-      return;
-    }
-
-    static obs::Counter& scratch_grows_ctr =
-        obs::MetricsRegistry::global().counter(
-            "leaf_shard_scratch_grows_total");
-    static obs::Counter& scratch_reuses_ctr =
-        obs::MetricsRegistry::global().counter(
-            "leaf_shard_scratch_reuses_total");
-    const bool scratch_grew = predict_scratch.reserve(test.size());
-    (scratch_grew ? scratch_grows_ctr : scratch_reuses_ctr).inc();
-    const std::span<double> pred = predict_scratch.acquire(test.size());
-    model->predict_into(test.X, pred);
-    const double err = metrics::nrmse(pred, test.y, norm_range);
-    if (cfg.guard_nonfinite && !std::isfinite(err)) {
-      ++result.degraded.nonfinite_errors;
-      nonfinite_ctr.inc();
-      emit(obs::EventKind::kNonFinite, "rows=" + std::to_string(test.size()));
-      return;
-    }
-    scored_ctr.inc();
-
-    double ne_acc = 0.0;
-    std::size_t ne_count = 0;
-    for (std::size_t i = 0; i < test.size(); ++i) {
-      const double ne =
-          metrics::normalized_error(pred[i], test.y[i], norm_range);
-      if (cfg.guard_nonfinite && !std::isfinite(ne)) continue;
-      ne_acc += ne;
-      ++ne_count;
-      abs_ne_samples.push_back(std::abs(ne));
-    }
-
-    result.days.push_back(day);
-    result.nrmse.push_back(err);
-    result.mean_ne.push_back(
-        ne_count > 0 ? ne_acc / static_cast<double>(ne_count) : 0.0);
-
-    const bool drift = detector.update(err);
-    if (drift) {
-      result.drift_days.push_back(day);
-      drift_ctr.inc();
-      emit(obs::EventKind::kDrift,
-           "detector=KSWIN,p=" + fmt6(detector.last_p_value()) +
-               ",nrmse=" + fmt6(err));
-    }
-
-    core::SchemeContext ctx{.featurizer = *featurizer,
-                            .model = *model,
-                            .current_train = train,
-                            .eval_day = day,
-                            .nrmse = err,
-                            .drift = drift,
-                            .train_window = cfg.train_window,
-                            .rng = &rng,
-                            .prototype = prototype.get(),
-                            .fit_caches = &fit_caches,
-                            .cache = nullptr,
-                            .events = &events,
-                            .shard = index};
-    const double retrain_t0 = obs::enabled() ? obs::monotonic_seconds() : 0.0;
-    std::optional<data::SupervisedSet> new_train = scheme->on_step(ctx);
-    std::unique_ptr<models::Regressor> replacement =
-        scheme->take_replacement_model();
-    if (storm_retrain && replacement == nullptr &&
-        (!new_train.has_value() || new_train->empty())) {
-      data::SupervisedSet forced =
-          core::latest_labeled_window(ctx, cfg.train_window);
-      if (!forced.empty()) new_train = std::move(forced);
-    }
-
-    const bool wants_retrain =
-        replacement != nullptr || (new_train.has_value() && !new_train->empty());
-    if (!wants_retrain) return;
-
-    // Retrain circuit breaker: a storm of requests inside the sliding
-    // window trips it OPEN and the shard keeps serving its frozen model
-    // (counted like the ingest OUTAGE freeze).  Disabled by default.
+  void emit_breaker_transitions(core::RetrainBreaker::State before, int day) {
     using BState = core::RetrainBreaker::State;
-    const BState before = breaker.state();
-    const bool allowed = breaker.allow(day);
     const BState after = breaker.state();
     if (before == BState::kOpen && after != BState::kOpen)
       emit_supervision(obs::EventKind::kBreakerHalfOpen, day,
@@ -342,57 +170,40 @@ struct FleetRuntime::Shard {
     if (after == BState::kClosed && before == BState::kOpen)
       emit_supervision(obs::EventKind::kBreakerClose, day,
                        "probe retrain allowed");
-    if (!allowed) {
-      // A suppressed LEAF candidate is dropped here, but its fit already
-      // committed to `fit_caches`: later fits see its bin edges.
-      ++result.degraded.suppressed_retrains;
-      suppressed_ctr.inc();
-      return;
-    }
+  }
 
-    bool retrained = false;
-    if (replacement != nullptr) {
-      model = std::move(replacement);
-      if (new_train.has_value()) train = std::move(*new_train);
-      result.retrain_days.push_back(day);
-      retrained = true;
-    } else {
-      train = std::move(*new_train);
-      model = prototype->clone_untrained();
-      model->attach_caches(&fit_caches);
-      {
-        LEAF_SPAN("serve.retrain_fit");
-        model->fit(train.X, train.y);
-      }
-      result.retrain_days.push_back(day);
-      retrained = true;
+  /// Initial training (throws what the Stepper constructor throws).
+  void init() { stepper.emplace(*featurizer, *prototype, *scheme, cfg); }
+
+  /// One evaluation step.  `storm_retrain` is the chaos retrain-storm
+  /// fault point: force a retrain request this step (gated by the breaker
+  /// like any other request).
+  void step(bool storm_retrain) {
+    LEAF_SPAN("serve.step");
+    // allow() runs at most once per step, so comparing the breaker state
+    // around the step sees every transition it made, also when the step
+    // throws after it (a failing retrain fit).
+    const int day = stepper->next_day();
+    const core::RetrainBreaker::State before = breaker.state();
+    core::StepOutcome out;
+    try {
+      out = stepper->step(storm_retrain, &breaker);
+    } catch (...) {
+      emit_breaker_transitions(before, day);
+      throw;
     }
-    if (retrained) {
-      const double secs =
-          obs::enabled() ? obs::monotonic_seconds() - retrain_t0 : 0.0;
-      retrain_ctr.inc();
-      retrain_latency.observe(secs);
+    emit_breaker_transitions(before, day);
+    if (out.retrained)
       obs::MetricsRegistry::global()
           .latency("leaf_shard_retrain_seconds",
                    obs::label("shard", std::to_string(index)))
-          .observe(secs);
-      emit(obs::EventKind::kRetrain,
-           "train_rows=" + std::to_string(train.size()), secs);
-    }
-  }
-
-  core::EvalResult finalized_result() const {
-    core::EvalResult out = result;
-    out.ne_p95 = abs_ne_samples.empty()
-                     ? 0.0
-                     : stats::quantile(abs_ne_samples, 0.95);
-    return out;
+          .observe(out.retrain_seconds);
   }
 
   void save(io::Serializer& out) const {
     // Format v3: supervision state leads, so even a shard that never
     // initialized (init threw, quarantined) snapshots cleanly.
-    out.put_bool(initialized);
+    out.put_bool(stepper.has_value());
     out.put_u8(static_cast<std::uint8_t>(health));
     out.put_i32(consecutive_failures);
     out.put_i32(total_faults);
@@ -400,155 +211,43 @@ struct FleetRuntime::Shard {
     out.put_string(last_error);
     breaker.save_state(out);
     supervision.save(out);
-    if (!initialized) return;
-
-    io::write(out, rng);
-    detector.save_state(out);
-    scheme->save_state(out);
-    models::save_regressor(out, *model);
-    fit_caches.bin_edges.save(out);
-    io::write(out, train);
-    out.put_i32(next_day);
-    out.put_i32(num_days);
-    out.put_f64(norm_range);
-    out.put_bool(done);
-    out.put_u64(steps);
-    write_ints(out, result.days);
-    out.put_doubles(result.nrmse);
-    out.put_doubles(result.mean_ne);
-    write_ints(out, result.retrain_days);
-    write_ints(out, result.drift_days);
-    out.put_i32(result.degraded.days_skipped);
-    out.put_i32(result.degraded.nonfinite_errors);
-    out.put_i32(result.degraded.frozen_detector_days);
-    out.put_i32(result.degraded.suppressed_retrains);
-    out.put_i64(result.degraded.values_imputed);
-    out.put_i64(result.degraded.quarantined_records);
-    out.put_doubles(abs_ne_samples);
+    if (!stepper) return;
+    stepper->save(out);
     // Format v2: the shard's event log rides along, so a resumed run's
     // merged event stream is identical to an uninterrupted one.
     events.save(out);
   }
 
-  /// Fully parsed shard state, applied only after the whole snapshot
-  /// parses cleanly (no partial restore).
-  struct Restored {
-    bool initialized = false;
-    ShardHealth health = ShardHealth::kHealthy;
-    int consecutive_failures = 0;
-    int total_faults = 0;
-    std::uint64_t backoff_until = 0;
-    std::string last_error;
-    core::RetrainBreaker breaker;
-    obs::EventLog supervision;
-    Rng::State rng;
-    std::unique_ptr<drift::Kswin> detector;
-    std::unique_ptr<core::MitigationScheme> scheme;
-    std::unique_ptr<models::Regressor> model;
-    models::BinEdgeCache bin_edges;
-    data::SupervisedSet train;
-    int next_day = 0;
-    int num_days = 0;
-    double norm_range = 0.0;
-    bool done = false;
-    std::uint64_t steps = 0;
-    core::EvalResult result;
-    std::vector<double> abs_ne_samples;
-    obs::EventLog events;
-  };
-
-  Restored parse(io::Deserializer& in) const {
-    Restored r;
-    r.initialized = in.get_bool();
+  /// Parses a shard section into a fresh shard configured like this one;
+  /// the fleet swaps it in only after the whole snapshot parses cleanly
+  /// (no partial restore).
+  std::unique_ptr<Shard> parse(io::Deserializer& in) const {
+    auto r = std::make_unique<Shard>(spec, index, *featurizer, dispersion, cfg,
+                                     prototype->clone_untrained(),
+                                     breaker.config());
+    const bool initialized = in.get_bool();
     const std::uint8_t health = in.get_u8();
     if (health > static_cast<std::uint8_t>(ShardHealth::kQuarantined))
       throw io::SnapshotError("shard: unknown health state " +
                               std::to_string(static_cast<int>(health)));
-    r.health = static_cast<ShardHealth>(health);
-    r.consecutive_failures = in.get_i32();
-    r.total_faults = in.get_i32();
-    r.backoff_until = in.get_u64();
-    r.last_error = in.get_string();
-    r.breaker = core::RetrainBreaker(breaker.config());
-    r.breaker.load_state(in);
-    r.supervision.load(in);
-    if (!r.initialized) {
-      if (r.health != ShardHealth::kQuarantined)
-        throw io::SnapshotError(
-            "shard snapshotted uninitialized but not quarantined");
-      if (!in.exhausted())
-        throw io::SnapshotError("trailing bytes after shard state");
-      return r;
+    r->health = static_cast<ShardHealth>(health);
+    r->consecutive_failures = in.get_i32();
+    r->total_faults = in.get_i32();
+    r->backoff_until = in.get_u64();
+    r->last_error = in.get_string();
+    r->breaker.load_state(in);
+    r->supervision.load(in);
+    if (!initialized && r->health != ShardHealth::kQuarantined)
+      throw io::SnapshotError(
+          "shard snapshotted uninitialized but not quarantined");
+    if (initialized) {
+      r->stepper = core::Stepper::load(in, *r->featurizer, *r->prototype,
+                                       *r->scheme, r->cfg);
+      r->events.load(in);
     }
-
-    Rng tmp_rng(cfg.seed);
-    io::read_rng(in, tmp_rng);
-    r.rng = tmp_rng.capture();
-    r.detector = std::make_unique<drift::Kswin>(cfg.detector);
-    r.detector->load_state(in);
-    r.scheme = core::make_scheme(spec.scheme, dispersion, cfg.seed ^ 0x99);
-    r.scheme->reset();
-    r.scheme->load_state(in);
-    r.model = models::load_regressor(in);
-    if (r.model->name() != prototype->name())
-      throw io::SnapshotError("shard model family mismatch: snapshot has '" +
-                              r.model->name() + "', runtime expects '" +
-                              prototype->name() + "'");
-    r.bin_edges.load(in);
-    r.train = io::read_supervised_set(in);
-    r.next_day = in.get_i32();
-    r.num_days = in.get_i32();
-    r.norm_range = in.get_f64();
-    r.done = in.get_bool();
-    r.steps = in.get_u64();
-    r.result.scheme = r.scheme->name();
-    r.result.model = prototype->name();
-    r.result.days = in.get_ints();
-    r.result.nrmse = in.get_doubles();
-    r.result.mean_ne = in.get_doubles();
-    r.result.retrain_days = in.get_ints();
-    r.result.drift_days = in.get_ints();
-    r.result.degraded.days_skipped = in.get_i32();
-    r.result.degraded.nonfinite_errors = in.get_i32();
-    r.result.degraded.frozen_detector_days = in.get_i32();
-    r.result.degraded.suppressed_retrains = in.get_i32();
-    r.result.degraded.values_imputed = in.get_i64();
-    r.result.degraded.quarantined_records = in.get_i64();
-    r.abs_ne_samples = in.get_doubles();
-    r.events.load(in);
     if (!in.exhausted())
       throw io::SnapshotError("trailing bytes after shard state");
-    if (r.result.nrmse.size() != r.result.days.size() ||
-        r.result.mean_ne.size() != r.result.days.size())
-      throw io::SnapshotError("shard result series have inconsistent sizes");
     return r;
-  }
-
-  void apply(Restored&& r) {
-    initialized = r.initialized;
-    health = r.health;
-    consecutive_failures = r.consecutive_failures;
-    total_faults = r.total_faults;
-    backoff_until = r.backoff_until;
-    last_error = std::move(r.last_error);
-    breaker = std::move(r.breaker);
-    supervision = std::move(r.supervision);
-    if (!initialized) return;
-    rng.restore(r.rng);
-    detector = std::move(*r.detector);
-    scheme = std::move(r.scheme);
-    model = std::move(r.model);
-    fit_caches.bin_edges = std::move(r.bin_edges);
-    model->attach_caches(&fit_caches);
-    train = std::move(r.train);
-    next_day = r.next_day;
-    num_days = r.num_days;
-    norm_range = r.norm_range;
-    done = r.done;
-    steps = r.steps;
-    result = std::move(r.result);
-    abs_ne_samples = std::move(r.abs_ne_samples);
-    events = std::move(r.events);
   }
 };
 
@@ -584,11 +283,10 @@ FleetRuntime::FleetRuntime(const data::CellularDataset& ds, const Scale& scale,
     std::uint64_t seed = spec.seed;
     if (seed == 0) seed = fleet_rng.substream(i)();
     const auto [featurizer, dispersion] = by_kpi[spec.kpi];
-    core::EvalConfig cfg = core::make_eval_config(scale_, seed);
-    shards_.push_back(std::make_unique<Shard>(spec, *featurizer, dispersion,
-                                              cfg, scale_,
-                                              supervisor_.breaker));
-    shards_.back()->index = static_cast<int>(i);
+    const core::EvalConfig cfg = core::make_eval_config(scale_, seed);
+    shards_.push_back(std::make_unique<Shard>(
+        spec, static_cast<int>(i), *featurizer, dispersion, cfg,
+        models::make_model(spec.model, scale_, cfg.seed), supervisor_.breaker));
   }
 }
 
@@ -596,7 +294,7 @@ FleetRuntime::~FleetRuntime() = default;
 
 bool FleetRuntime::done() const {
   for (const auto& s : shards_)
-    if (!s->done && s->health != ShardHealth::kQuarantined) return false;
+    if (!s->done() && s->health != ShardHealth::kQuarantined) return false;
   return true;
 }
 
@@ -615,13 +313,13 @@ void FleetRuntime::handle_shard_failure(Shard& shard,
       "fleet_step=" + std::to_string(fleet_step) +
       ",failures=" + std::to_string(shard.consecutive_failures) +
       ",error=" + shard.last_error;
-  if (!shard.initialized ||
+  if (!shard.stepper ||
       shard.consecutive_failures > supervisor_.recovery.max_retries) {
     // Init failures are configuration/data problems a retry cannot fix;
     // step failures escalate once the retry budget is spent.
     shard.health = ShardHealth::kQuarantined;
     quarantine_ctr.inc();
-    shard.emit_supervision(obs::EventKind::kShardQuarantined, shard.next_day,
+    shard.emit_supervision(obs::EventKind::kShardQuarantined, shard.next_day(),
                            context);
     LEAF_LOG_ERROR("serve: shard %d quarantined (%s)", shard.index,
                    context.c_str());
@@ -632,7 +330,7 @@ void FleetRuntime::handle_shard_failure(Shard& shard,
         << (shard.consecutive_failures - 1);
     shard.backoff_until = fleet_step + 1 + backoff;
     shard.emit_supervision(
-        obs::EventKind::kShardFaulted, shard.next_day,
+        obs::EventKind::kShardFaulted, shard.next_day(),
         context + ",retry_at_step=" + std::to_string(shard.backoff_until));
     LEAF_LOG_WARN("serve: shard %d faulted, retry at fleet step %llu (%s)",
                   shard.index,
@@ -656,7 +354,7 @@ void FleetRuntime::start() {
 void FleetRuntime::step_shard(Shard& shard, std::uint64_t fleet_step) {
   static obs::Counter& recovered_ctr =
       obs::MetricsRegistry::global().counter("leaf_shard_recoveries_total");
-  if (shard.done || !shard.initialized ||
+  if (!shard.stepper || shard.stepper->done() ||
       shard.health == ShardHealth::kQuarantined)
     return;
   if (shard.health == ShardHealth::kFaulted &&
@@ -687,7 +385,7 @@ void FleetRuntime::step_shard(Shard& shard, std::uint64_t fleet_step) {
       shard.consecutive_failures = 0;
       recovered_ctr.inc();
       shard.emit_supervision(
-          obs::EventKind::kShardRecovered, shard.next_day,
+          obs::EventKind::kShardRecovered, shard.next_day(),
           "fleet_step=" + std::to_string(fleet_step) +
               ",after_failures=" + std::to_string(shard.total_faults));
       LEAF_LOG_INFO("serve: shard %d recovered at fleet step %llu",
@@ -767,8 +465,9 @@ void FleetRuntime::sample_telemetry() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
     const std::string labels = obs::label("shard", std::to_string(i));
-    if (!s.result.nrmse.empty()) {
-      const double nrmse = s.result.nrmse.back();
+    const core::EvalResult& r = s.partial();
+    if (!r.nrmse.empty()) {
+      const double nrmse = r.nrmse.back();
       tsdb_.record("leaf_fleet_shard_nrmse", labels, tick, nrmse);
       meta_drift_.observe("shard" + std::to_string(i) + "_nrmse",
                           static_cast<int>(i), tick, nrmse);
@@ -776,11 +475,11 @@ void FleetRuntime::sample_telemetry() {
     tsdb_.record("leaf_fleet_shard_health", labels, tick,
                  static_cast<double>(s.health));
     tsdb_.record("leaf_fleet_shard_retrains", labels, tick,
-                 static_cast<double>(s.result.retrain_count()));
+                 static_cast<double>(r.retrain_count()));
     tsdb_.record("leaf_fleet_shard_drift_events", labels, tick,
-                 static_cast<double>(s.result.drift_days.size()));
+                 static_cast<double>(r.drift_days.size()));
     tsdb_.record("leaf_fleet_shard_days_evaluated", labels, tick,
-                 static_cast<double>(s.result.days.size()));
+                 static_cast<double>(r.days.size()));
     if (s.health == ShardHealth::kQuarantined) quarantined += 1.0;
     faults += static_cast<double>(s.total_faults);
   }
@@ -953,7 +652,7 @@ void FleetRuntime::restore(const std::string& dir) {
   // Walk generations newest-first.  The newest generation with a valid,
   // matching meta section anchors steps_run; each shard restores from the
   // newest generation whose section parses, falling back per shard.
-  std::vector<std::optional<Shard::Restored>> restored(shards_.size());
+  std::vector<std::unique_ptr<Shard>> restored(shards_.size());
   std::vector<std::uint64_t> restored_gen(shards_.size(), 0);
   bool meta_ok = false;
   std::uint64_t anchor_gen = 0;
@@ -1029,7 +728,7 @@ void FleetRuntime::restore(const std::string& dir) {
       }
     }
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (restored[i].has_value()) continue;
+      if (restored[i] != nullptr) continue;
       try {
         io::Deserializer in = reader->section("shard" + std::to_string(i));
         restored[i] = shards_[i]->parse(in);
@@ -1048,7 +747,7 @@ void FleetRuntime::restore(const std::string& dir) {
   if (remaining > 0) {
     std::string missing;
     for (std::size_t i = 0; i < shards_.size(); ++i)
-      if (!restored[i].has_value())
+      if (restored[i] == nullptr)
         missing += (missing.empty() ? "" : ",") + std::to_string(i);
     throw io::SnapshotError("shard(s) " + missing +
                             " unreadable in every retained generation (" +
@@ -1057,7 +756,7 @@ void FleetRuntime::restore(const std::string& dir) {
 
   // Only a fully restorable fleet mutates the runtime.
   for (std::size_t i = 0; i < shards_.size(); ++i)
-    shards_[i]->apply(std::move(*restored[i]));
+    shards_[i] = std::move(restored[i]);
   steps_run_ = steps_run;
   started_ = true;
   snapshot_gen_ = gens_asc.back();
@@ -1101,7 +800,7 @@ void FleetRuntime::restore(const std::string& dir) {
 std::vector<core::EvalResult> FleetRuntime::results() const {
   std::vector<core::EvalResult> out;
   out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->finalized_result());
+  for (const auto& shard : shards_) out.push_back(shard->result());
   return out;
 }
 
@@ -1114,14 +813,15 @@ ServeStats FleetRuntime::stats() const {
     s.kpi = data::to_string(shard->spec.kpi);
     s.model = shard->prototype->name();
     s.scheme = shard->scheme->name();
-    s.steps = shard->steps;
-    s.days_evaluated = static_cast<int>(shard->result.days.size());
-    s.retrains = shard->result.retrain_count();
-    s.drift_events = static_cast<int>(shard->result.drift_days.size());
-    s.days_skipped = shard->result.degraded.days_skipped;
-    s.nonfinite_errors = shard->result.degraded.nonfinite_errors;
-    s.next_day = shard->next_day;
-    s.done = shard->done;
+    const core::EvalResult& r = shard->partial();
+    s.steps = shard->stepper ? shard->stepper->steps() : 0;
+    s.days_evaluated = static_cast<int>(r.days.size());
+    s.retrains = r.retrain_count();
+    s.drift_events = static_cast<int>(r.drift_days.size());
+    s.days_skipped = r.degraded.days_skipped;
+    s.nonfinite_errors = r.degraded.nonfinite_errors;
+    s.next_day = shard->next_day();
+    s.done = shard->done();
     s.health = shard->health;
     s.faults = shard->total_faults;
     s.consecutive_failures = shard->consecutive_failures;
@@ -1129,7 +829,7 @@ ServeStats FleetRuntime::stats() const {
     s.last_error = shard->last_error;
     s.breaker_state = shard->breaker.state_name();
     s.breaker_trips = shard->breaker.trips();
-    s.suppressed_retrains = shard->result.degraded.suppressed_retrains;
+    s.suppressed_retrains = r.degraded.suppressed_retrains;
     stats.total_retrains += s.retrains;
     stats.total_drift_events += s.drift_events;
     stats.total_faults += s.faults;
@@ -1144,8 +844,8 @@ ServeStats FleetRuntime::stats() const {
 
 bool FleetRuntime::shard_ready(std::size_t i) const {
   const Shard& shard = *shards_.at(i);
-  return shard.initialized && shard.health != ShardHealth::kQuarantined &&
-         shard.model != nullptr && shard.model->trained();
+  return shard.stepper && shard.health != ShardHealth::kQuarantined &&
+         shard.stepper->model().trained();
 }
 
 int FleetRuntime::shard_num_features(std::size_t i) const {
@@ -1166,7 +866,7 @@ void FleetRuntime::predict_shard(std::size_t i, const Matrix& X,
         " features, got " + std::to_string(X.cols()));
   if (out.size() != X.rows())
     throw std::invalid_argument("serve: predict output size mismatch");
-  shard.model->predict_into(X, out);
+  shard.stepper->model().predict_into(X, out);
 }
 
 void FleetRuntime::predict_shard(std::size_t i, const Matrix& X,
@@ -1191,8 +891,9 @@ double FleetRuntime::current_avg_nrmse() const {
   double acc = 0.0;
   std::size_t n = 0;
   for (const auto& shard : shards_) {
-    if (shard->result.nrmse.empty()) continue;
-    const double err = shard->result.nrmse.back();
+    const std::vector<double>& nrmse = shard->partial().nrmse;
+    if (nrmse.empty()) continue;
+    const double err = nrmse.back();
     if (!std::isfinite(err)) continue;
     acc += err;
     ++n;

@@ -4,10 +4,11 @@
 // A `FleetRuntime` owns N independent shards, one per (target KPI, model
 // family, mitigation scheme) pipeline over a shared dataset — the
 // deployment shape of §5: many concurrently maintained forecasting models
-// walking the same telemetry stream.  Each shard carries its own model,
-// KSWIN detector, scheme, and RNG, and steps through evaluation days with
-// exactly the same per-step semantics as core::run_scheme, so a
-// single-shard fleet reproduces run_scheme bit-for-bit.
+// walking the same telemetry stream.  Each shard is a core::Stepper (its
+// own model, KSWIN detector, scheme, and RNG) plus supervision, and steps
+// it one evaluation day per fleet step: the loop is the one
+// core::run_scheme runs, so a single-shard fleet reproduces run_scheme
+// bit-for-bit.
 //
 // Shards are stepped concurrently on the leaf::par pool.  Because every
 // mutable object is shard-private and per-shard seeds are derived with

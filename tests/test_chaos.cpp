@@ -6,15 +6,19 @@
 // per-shard rollback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "chaos/chaos.hpp"
 #include "core/breaker.hpp"
 #include "data/generator.hpp"
+#include "io/serializer.hpp"
+#include "io/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "par/parallel.hpp"
 #include "serve/runtime.hpp"
@@ -557,6 +561,94 @@ TEST_F(ChaosFixture, ChaosCorruptedSnapshotsRestoreViaFallback) {
     EXPECT_EQ(revived.steps_run(), 2u);
     EXPECT_EQ(revived.stats().snapshot_fallbacks, 1);
   }
+}
+
+// ---- pinned goldens ------------------------------------------------------
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  return fnv1a(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+}
+
+/// Serialized event log of `events` (with their seconds zeroed when
+/// `masked`), in the layout a shard section ends with.
+std::vector<std::uint8_t> event_log_bytes(const std::vector<obs::Event>& events,
+                                          bool masked) {
+  obs::EventLog log;
+  for (obs::Event e : events) {
+    if (masked) e.seconds = 0.0;
+    log.emit(std::move(e));
+  }
+  io::Serializer out;
+  log.save(out);
+  return {out.bytes().begin(), out.bytes().end()};
+}
+
+// Pins the byte layout of every shard section of a mid-run snapshot and
+// the masked drift and supervision streams of a storm-driven fleet with
+// the retrain breaker on: LEAF and plain retrains, breaker open / half-open
+// / close transitions and suppression counts all land in these bytes.  The
+// shard sections end with the shard's event log, whose retrain events
+// carry wall-clock seconds; those are zeroed before hashing.
+TEST_F(ChaosFixture, StormedFleetMatchesPinnedGoldens) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
+  using data::TargetKpi;
+  using models::ModelFamily;
+  const std::vector<serve::ShardSpec> specs = {
+      {TargetKpi::kDVol, ModelFamily::kRidge, "Triggered", 0},
+      {TargetKpi::kPU, ModelFamily::kRidge, "LEAF", 0},
+      {TargetKpi::kDVol, ModelFamily::kGbdt, "LEAF", 0},
+      {TargetKpi::kDTP, ModelFamily::kRidge, "Naive30", 0}};
+  serve::SupervisorConfig sup = with_chaos("seed=3,retrain-storm=1");
+  sup.breaker = core::BreakerConfig{.max_retrains = 3, .window_days = 30,
+                                    .cooldown_days = 45};
+  serve::FleetRuntime fleet(ds, scale, specs, 2024, sup);
+  const std::string dir = temp_dir("pinned");
+  ASSERT_EQ(fleet.run_steps(40), 40u);
+  ASSERT_GT(fleet.snapshot(dir), 0u);
+
+  const std::vector<obs::Event> events_at_snapshot = fleet.merged_events();
+  const io::SnapshotReader reader = io::SnapshotReader::from_file(
+      (std::filesystem::path(dir) / "fleet-000001.leafsnap").string());
+  const std::uint64_t want_sections[] = {
+      3368119837094904895ULL, 10021895599870371675ULL,
+      18290019401046836463ULL, 15819643201525615383ULL};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    io::Deserializer in = reader.section("shard" + std::to_string(i));
+    std::vector<std::uint8_t> payload;
+    while (!in.exhausted()) payload.push_back(in.get_u8());
+    std::vector<obs::Event> own;
+    for (const obs::Event& e : events_at_snapshot)
+      if (e.shard == static_cast<int>(i)) own.push_back(e);
+    const std::vector<std::uint8_t> tail = event_log_bytes(own, false);
+    ASSERT_GE(payload.size(), tail.size());
+    const std::size_t head = payload.size() - tail.size();
+    ASSERT_TRUE(std::equal(tail.begin(), tail.end(), payload.begin() + head));
+    const std::vector<std::uint8_t> masked = event_log_bytes(own, true);
+    payload.resize(head);
+    payload.insert(payload.end(), masked.begin(), masked.end());
+    EXPECT_EQ(fnv1a(payload), want_sections[i]);
+  }
+
+  fleet.run_to_end();
+  const serve::ServeStats st = fleet.stats();
+  EXPECT_GT(st.total_breaker_trips, 0);
+  EXPECT_GT(st.total_suppressed_retrains, 0);
+  const std::string sup_jsonl = fleet.supervision_jsonl(false);
+  EXPECT_NE(sup_jsonl.find("breaker_half_open"), std::string::npos);
+  EXPECT_NE(sup_jsonl.find("breaker_close"), std::string::npos);
+  EXPECT_EQ(fnv1a(sup_jsonl), 18191388758459425099ULL);
+  EXPECT_EQ(fnv1a(fleet.events_jsonl(false)), 7526806306024142033ULL);
 }
 
 }  // namespace

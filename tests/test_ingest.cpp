@@ -11,6 +11,7 @@
 #include "ingest/health.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/validator.hpp"
+#include "io/serializer.hpp"
 #include "models/factory.hpp"
 #include "obs/events.hpp"
 
@@ -451,6 +452,86 @@ TEST(Integration, GuardedRunSchemeDegradesGracefully) {
   for (int d : run.drift_days)
     EXPECT_FALSE(d >= spec.outage_start + 8 && d <= spec.outage_end)
         << "drift fired at day " << d << " inside the declared outage";
+}
+
+// The walk-forward loop is resumable: a Stepper saved inside the outage
+// and loaded into a fresh one (fresh prototype, scheme and event log)
+// finishes with run_scheme's exact result, outage freeze included, and
+// the same event stream.
+TEST(Integration, StepperResumeMatchesRunSchemeThroughOutage) {
+  const Scale scale = tiny_scale();
+  const auto& ds = tiny_ds();
+  const data::TargetKpi target = data::TargetKpi::kDVol;
+  const int target_col = ds.schema().target_column(target);
+
+  FaultSpec spec = FaultSpec::at_rate(0.05, 7);
+  spec.outage_column = target_col;
+  spec.outage_start = cal::pu_loss_start();
+  spec.outage_end = cal::pu_loss_end();
+  const IngestResult ing = ingest_stream(ds, inject_faults(ds, spec));
+  const data::Featurizer featurizer(ing.clean, target);
+  core::EvalConfig cfg = core::make_eval_config(scale);
+  cfg.target_health = ing.kpi_health[static_cast<std::size_t>(target_col)];
+  cfg.ingest_report = &ing.report;
+  const auto prototype =
+      models::make_model(models::ModelFamily::kGbdt, scale, 7);
+
+  obs::EventLog want_log;
+  cfg.events = &want_log;
+  core::TriggeredScheme want_scheme;
+  const core::EvalResult want =
+      core::run_scheme(featurizer, *prototype, want_scheme, cfg);
+
+  obs::EventLog first_log;
+  cfg.events = &first_log;
+  core::TriggeredScheme first_scheme;
+  core::Stepper first(featurizer, *prototype, first_scheme, cfg);
+  while (!first.done() && first.next_day() < spec.outage_start + 40)
+    first.step();
+  ASSERT_FALSE(first.done());
+  const int frozen_at_save = first.partial().degraded.frozen_detector_days;
+  EXPECT_GT(frozen_at_save, 0);
+  io::Serializer out;
+  first.save(out);
+  first_log.save(out);
+
+  io::Deserializer in(out.bytes());
+  obs::EventLog resumed_log;
+  cfg.events = &resumed_log;
+  core::TriggeredScheme resumed_scheme;
+  const auto resumed_prototype =
+      models::make_model(models::ModelFamily::kGbdt, scale, 7);
+  core::Stepper resumed = core::Stepper::load(
+      in, featurizer, *resumed_prototype, resumed_scheme, cfg);
+  resumed_log.load(in);
+  EXPECT_TRUE(in.exhausted());
+  while (!resumed.done()) resumed.step();
+  const core::EvalResult got = resumed.result();
+
+  EXPECT_GT(want.degraded.frozen_detector_days, frozen_at_save);
+  EXPECT_FALSE(want.retrain_days.empty());
+  EXPECT_EQ(got.scheme, want.scheme);
+  EXPECT_EQ(got.model, want.model);
+  EXPECT_EQ(got.days, want.days);
+  EXPECT_EQ(got.nrmse, want.nrmse);
+  EXPECT_EQ(got.mean_ne, want.mean_ne);
+  EXPECT_EQ(got.retrain_days, want.retrain_days);
+  EXPECT_EQ(got.drift_days, want.drift_days);
+  EXPECT_EQ(got.ne_p95, want.ne_p95);
+  EXPECT_EQ(got.degraded.days_skipped, want.degraded.days_skipped);
+  EXPECT_EQ(got.degraded.nonfinite_errors, want.degraded.nonfinite_errors);
+  EXPECT_EQ(got.degraded.frozen_detector_days,
+            want.degraded.frozen_detector_days);
+  EXPECT_EQ(got.degraded.suppressed_retrains,
+            want.degraded.suppressed_retrains);
+  EXPECT_EQ(got.degraded.values_imputed, want.degraded.values_imputed);
+  EXPECT_EQ(got.degraded.quarantined_records,
+            want.degraded.quarantined_records);
+  if (obs::kCompiledIn) {
+    EXPECT_NE(want_log.to_jsonl(false).find("outage_freeze"),
+              std::string::npos);
+  }
+  EXPECT_EQ(resumed_log.to_jsonl(false), want_log.to_jsonl(false));
 }
 
 TEST(Integration, EmptyAnchorWindowReportsContext) {

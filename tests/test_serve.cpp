@@ -106,6 +106,30 @@ TEST_F(ServeFixture, LeafGbdtShardThatRetrainsMatchesRunScheme) {
   expect_identical(got[0], want);
 }
 
+// Every GBDT fit of a LEAF run is attributed to exactly one span site
+// besides the initial fit: the engine's retrain fits or LEAF's candidate
+// fits (deployed or vetoed).
+TEST_F(ServeFixture, LeafRetrainFitsAreAllCountedBySpans) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const obs::SpanSite& fits = reg.span_site("fit.GBDT");
+  const obs::SpanSite& retrain_fits = reg.span_site("run_scheme.retrain_fit");
+  const obs::SpanSite& candidate_fits = reg.span_site("leaf.candidate_fit");
+  const std::uint64_t fits0 = fits.count();
+  const std::uint64_t retrain0 = retrain_fits.count();
+  const std::uint64_t candidate0 = candidate_fits.count();
+
+  FleetRuntime fleet(ds, scale, {{data::TargetKpi::kDVol,
+                                  models::ModelFamily::kGbdt, "LEAF", 11}});
+  fleet.run_to_end();
+  ASSERT_GT(fleet.stats().total_retrains, 0);
+
+  const std::uint64_t candidates = candidate_fits.count() - candidate0;
+  EXPECT_GT(candidates, 0u);
+  EXPECT_EQ(retrain_fits.count() - retrain0 + candidates,
+            fits.count() - fits0 - 1);
+}
+
 // Same fleet, different thread counts → byte-identical results.
 TEST_F(ServeFixture, ResultsIdenticalAtAnyThreadCount) {
   ThreadGuard guard;
